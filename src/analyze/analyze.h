@@ -30,9 +30,9 @@
 namespace polynima::analyze {
 
 struct AnalyzeOptions {
-  // Worker threads for the per-function escape pass (0 = hardware default,
-  // same convention as LiftOptions::jobs).
-  int jobs = 0;
+  // Worker threads for the per-function escape pass (0 = one per hardware
+  // thread, same convention as LiftOptions::jobs).
+  int jobs = 1;
   // Observability sinks (all nullable).
   obs::Session obs;
 };

@@ -20,6 +20,10 @@ using ir::Instruction;
 using ir::Op;
 using ir::Value;
 
+// Concrete-set widening cap: a value whose feasible set would exceed this
+// many members degrades to "unbounded" (matches the jump-table read cap).
+constexpr size_t kMaxTargets = 512;
+
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -51,9 +55,9 @@ struct Fact {
   }
   bool bounded() const { return !top; }
 
-  // Joins `o` in, widening to top past `cap` members. Returns true when
-  // anything changed.
-  bool Join(const Fact& o, size_t cap) {
+  // Joins `o` in, widening to top past kMaxTargets members. Returns true
+  // when anything changed.
+  bool Join(const Fact& o) {
     if (top) {
       return false;
     }
@@ -66,7 +70,7 @@ struct Fact {
     for (uint64_t v : o.values) {
       changed = values.insert(v).second || changed;
     }
-    if (values.size() > cap) {
+    if (values.size() > kMaxTargets) {
       top = true;
       values.clear();
       changed = true;
@@ -133,13 +137,11 @@ class TargetSolver {
  public:
   TargetSolver(const Function& f, const ir::Module& m,
                const binary::Image& image,
-               const check::RegionDeriver& deriver, bool track_slots,
-               size_t cap)
+               const check::RegionDeriver& deriver, bool track_slots)
       : f_(f),
         image_(image),
         deriver_(deriver),
         track_slots_(track_slots),
-        cap_(cap),
         rsp_(m.GetGlobal("vr_rsp")) {
     Solve();
   }
@@ -180,7 +182,7 @@ class TargetSolver {
         changed = true;
         continue;
       }
-      if (it->second.Join(jt->second, cap_)) {
+      if (it->second.Join(jt->second)) {
         changed = true;
         if (it->second.top) {
           it = into.erase(it);
@@ -204,7 +206,7 @@ class TargetSolver {
             return Fact::Top();
           }
           r.values.insert(ApplyBinop(op, x, y));
-          if (r.values.size() > cap_) {
+          if (r.values.size() > kMaxTargets) {
             return Fact::Top();
           }
         }
@@ -219,7 +221,7 @@ class TargetSolver {
       if (m.bounded() && !m.values.empty()) {
         Fact r;
         for (uint64_t mask : m.values) {
-          if (mask >= cap_) {
+          if (mask >= kMaxTargets) {
             return Fact::Top();
           }
           for (uint64_t w = 0; w <= mask; ++w) {
@@ -228,7 +230,7 @@ class TargetSolver {
             }
           }
         }
-        if (r.values.size() > cap_) {
+        if (r.values.size() > kMaxTargets) {
           return Fact::Top();
         }
         return r;
@@ -239,7 +241,7 @@ class TargetSolver {
         return Fact::Top();
       }
       uint64_t max_mod = *b.values.rbegin();
-      if (max_mod > cap_) {
+      if (max_mod > kMaxTargets) {
         return Fact::Top();
       }
       Fact r;
@@ -265,7 +267,7 @@ class TargetSolver {
         }
         r.values.insert(v);
       }
-      if (all_ro && r.values.size() <= cap_) {
+      if (all_ro && r.values.size() <= kMaxTargets) {
         return r;
       }
     }
@@ -351,7 +353,7 @@ class TargetSolver {
   bool Transfer(const BasicBlock& b, State state) {
     bool changed = false;
     auto set_value = [&](const Instruction* inst, const Fact& f) {
-      changed = values_[inst].Join(f, cap_) || changed;
+      changed = values_[inst].Join(f) || changed;
     };
     for (const auto& inst : b.insts()) {
       switch (inst->op()) {
@@ -412,14 +414,14 @@ class TargetSolver {
         }
         case Op::kSelect: {
           Fact r = FactOf(inst->operand(1));
-          r.Join(FactOf(inst->operand(2)), cap_);
+          r.Join(FactOf(inst->operand(2)));
           set_value(inst.get(), r);
           break;
         }
         case Op::kPhi: {
           Fact r;
           for (int i = 0; i < inst->num_operands(); ++i) {
-            r.Join(FactOf(inst->operand(i)), cap_);
+            r.Join(FactOf(inst->operand(i)));
           }
           set_value(inst.get(), r);
           break;
@@ -475,8 +477,8 @@ class TargetSolver {
     }
     block_in_[f_.entry()] = {};
     bool changed = true;
-    // Monotone over a finite lattice (value sets capped at cap_, state maps
-    // only shrink toward top), so this terminates.
+    // Monotone over a finite lattice (value sets capped at kMaxTargets, state
+    // maps only shrink toward top), so this terminates.
     while (changed) {
       changed = false;
       for (const auto& b : f_.blocks()) {
@@ -493,7 +495,6 @@ class TargetSolver {
   const binary::Image& image_;
   const check::RegionDeriver& deriver_;
   const bool track_slots_;
-  const size_t cap_;
   const Global* rsp_;
   std::map<const BasicBlock*, State> block_in_;
   std::map<const Instruction*, Fact> values_;
@@ -511,9 +512,6 @@ IcfResult AnalyzeIndirectControlFlow(const lift::LiftedProgram& program,
   }
   obs::Span span(options.obs.trace, "analyze", "icf");
   int64_t start_ns = NowNs();
-  size_t cap = options.max_targets > 0
-                   ? static_cast<size_t>(options.max_targets)
-                   : 512;
 
   std::vector<uint64_t> pads = cfg::CollectLandingPads(image);
   result.landing_pads = static_cast<int>(pads.size());
@@ -616,7 +614,7 @@ IcfResult AnalyzeIndirectControlFlow(const lift::LiftedProgram& program,
     check::EscapeFacts escapes =
         check::ComputeEscapeFacts(*fn, *program.module, deriver);
     TargetSolver solver(*fn, *program.module, image, deriver,
-                        /*track_slots=*/!escapes.stack_escaped, cap);
+                        /*track_slots=*/!escapes.stack_escaped);
 
     for (const Instruction* site : miss_sites) {
       uint64_t ta = static_cast<uint64_t>(

@@ -32,9 +32,6 @@
 namespace polynima::analyze {
 
 struct IcfOptions {
-  // Concrete-set widening cap: a value whose feasible set would exceed this
-  // many members degrades to "unbounded" (matches the jump-table read cap).
-  int max_targets = 512;
   // Observability sinks (all nullable).
   obs::Session obs;
 };

@@ -1,5 +1,7 @@
 #include "src/binary/image.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 
@@ -156,10 +158,42 @@ Expected<Image> Image::Deserialize(const std::vector<uint8_t>& data) {
     POLY_ASSIGN_OR_RETURN(seg.name, r.Str());
     POLY_ASSIGN_OR_RETURN(seg.address, r.U64());
     POLY_ASSIGN_OR_RETURN(uint64_t flags, r.U64());
+    if (flags > 2) {
+      return Status::InvalidArgument(
+          StrCat("segment ", seg.name, ": unknown flag value ", flags));
+    }
     seg.executable = flags == 1;
     seg.read_only = flags == 2;
     POLY_ASSIGN_OR_RETURN(seg.bytes, r.Bytes());
+    if (seg.bytes.size() > UINT64_MAX - seg.address) {
+      return Status::InvalidArgument(
+          StrCat("segment ", seg.name, " wraps the address space"));
+    }
     img.segments.push_back(std::move(seg));
+  }
+  std::vector<const Segment*> by_address;
+  for (const Segment& seg : img.segments) {
+    if (!seg.bytes.empty()) {
+      by_address.push_back(&seg);
+    }
+  }
+  std::sort(by_address.begin(), by_address.end(),
+            [](const Segment* a, const Segment* b) {
+              return a->address < b->address;
+            });
+  for (size_t i = 1; i < by_address.size(); ++i) {
+    const Segment& prev = *by_address[i - 1];
+    const Segment& seg = *by_address[i];
+    if (seg.address < prev.end()) {
+      return Status::InvalidArgument(
+          StrCat("segments ", prev.name, " and ", seg.name, " overlap"));
+    }
+  }
+  const Segment* entry_seg = img.SegmentContaining(img.entry_point);
+  if (entry_seg == nullptr || !entry_seg->executable) {
+    return Status::InvalidArgument(
+        StrCat("entry point ", HexString(img.entry_point),
+               " is outside every executable segment"));
   }
   POLY_ASSIGN_OR_RETURN(uint64_t nsym, r.U64());
   for (uint64_t i = 0; i < nsym; ++i) {

@@ -282,10 +282,8 @@ class Recoverer {
   // Function-pointer tables in read-only data: every 8-aligned qword in a
   // read-only segment that holds a decodable code address is a candidate
   // address-taken function (the rodata analogue of the movabs heuristic).
+  // Images without a read-only segment are unaffected.
   void ScanRodataPointers() {
-    if (!options_.rodata_pointer_scan) {
-      return;
-    }
     for (const binary::Segment& seg : image_.segments) {
       if (seg.executable || !seg.read_only) {
         continue;

@@ -81,11 +81,6 @@ struct RecoverOptions {
   // Treat code-address constants materialized by movabs as candidate
   // function entries (how disassemblers discover callback targets).
   bool address_constant_heuristic = true;
-  // Scan read-only data segments for 8-aligned qwords holding decodable
-  // code addresses (function-pointer tables in .rodata). Discovered targets
-  // become address-taken function entries. On by default: images without a
-  // read-only segment are unaffected.
-  bool rodata_pointer_scan = true;
   // Sound mode (--cfg-sound): additionally treat every endbr64 landing pad
   // in the image as a function entry, so indirect-transfer targets are
   // recovered exhaustively rather than heuristically.

@@ -620,7 +620,7 @@ TsoCheckReport CheckModule(const ir::Module& m,
            StrCat("elision certificate records ", cert.spinning_loops,
                   " potentially-spinning loop(s): full fence removal is not "
                   "justified")});
-    } else if (options.binary_key != 0 && cert.binary_key != 0 &&
+    } else if (options.binary_key != 0 &&
                cert.binary_key != options.binary_key) {
       report.violations.push_back(
           {"", "", 0, "bad-cert",
@@ -637,7 +637,7 @@ TsoCheckReport CheckModule(const ir::Module& m,
           {"", "", 0, "bad-cert",
            "static elision certificate checksum mismatch: the certificate "
            "was tampered with or hand-forged"});
-    } else if (options.binary_key != 0 && cert.binary_key != 0 &&
+    } else if (options.binary_key != 0 &&
                cert.binary_key != options.binary_key) {
       report.violations.push_back(
           {"", "", 0, "bad-cert",
@@ -678,17 +678,6 @@ TsoCheckReport CheckModule(const ir::Module& m,
   span.Arg("accesses", static_cast<int64_t>(report.accesses_checked));
   span.Arg("violations", static_cast<int64_t>(report.violations.size()));
   return report;
-}
-
-Status CheckModuleStatus(const ir::Module& m, const TsoCheckOptions& options) {
-  TsoCheckReport report = CheckModule(m, options);
-  if (report.ok()) {
-    return Status::Ok();
-  }
-  return Status::Internal(StrCat("TSO soundness check failed (",
-                                 report.violations.size(), " violation",
-                                 report.violations.size() == 1 ? "" : "s",
-                                 "): ", report.violations.front().message));
 }
 
 }  // namespace polynima::check

@@ -44,7 +44,6 @@
 #include "src/check/witness.h"
 #include "src/ir/ir.h"
 #include "src/obs/report.h"
-#include "src/support/status.h"
 
 namespace polynima::check {
 
@@ -93,11 +92,6 @@ struct TsoCheckReport {
 // Checks every function in the module. Never mutates the IR.
 TsoCheckReport CheckModule(const ir::Module& m,
                            const TsoCheckOptions& options = {});
-
-// Convenience wrapper: Ok() iff the report is clean, otherwise an Internal
-// status carrying the first violation's diagnostic.
-Status CheckModuleStatus(const ir::Module& m,
-                         const TsoCheckOptions& options = {});
 
 }  // namespace polynima::check
 

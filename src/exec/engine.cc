@@ -93,8 +93,7 @@ Engine::Engine(const lift::LiftedProgram& program, const binary::Image& image,
     : program_(program),
       image_(image),
       library_(library),
-      options_(options),
-      rng_(options.seed) {
+      options_(options) {
   for (const binary::Segment& seg : image_.segments) {
     memory_.MapSegment(seg.address, seg.bytes, seg.Writable());
     if (seg.executable) {
@@ -139,11 +138,9 @@ Engine::Engine(const lift::LiftedProgram& program, const binary::Image& image,
 
   interp_ = std::make_unique<InterpreterBackend>(*this);
   tier1_ = std::make_unique<Tier1Backend>(*this);
-  // record_accesses keys its output by IR instruction identity, and
-  // schedule_skew draws scheduler perturbation from the shared rng stream
-  // mid-run — both force pure tier-0 execution.
-  tier1_enabled_ = options_.tier >= 1 && !options_.record_accesses &&
-                   options_.schedule_skew == 0;
+  // record_accesses keys its output by IR instruction identity, which
+  // forces pure tier-0 execution.
+  tier1_enabled_ = options_.tier >= 1 && !options_.record_accesses;
   tier_threshold_ = options_.tier_threshold;
   // Tier 2 re-emits tier-1 streams as native code, so it inherits tier 1's
   // gating and additionally requires executable mappings on this host.
@@ -523,19 +520,6 @@ void Engine::RunMinClockLoop() {
     if (best == nullptr) {
       break;
     }
-    if (options_.schedule_skew > 0) {
-      // Differential-check perturbation: pick among all runnable threads
-      // within the skew window of the minimum clock (seeded, reproducible).
-      std::vector<Thread*> near;
-      for (auto& t : threads_) {
-        if (!t->finished && t->clock <= best->clock + options_.schedule_skew) {
-          near.push_back(t.get());
-        }
-      }
-      if (near.size() > 1) {
-        best = near[rng_.NextBelow(near.size())];
-      }
-    }
     current_ = best->id;
     // With several live threads tier-1 batches must stop before visible
     // operations so those interleave at the same clocks as tier 0; a sole
@@ -769,8 +753,6 @@ uint64_t Engine::StateDigest() {
 
 ExecResult Engine::Run() {
   POLY_CHECK(threads_.empty()) << "Run() may only be called once";
-  POLY_CHECK(options_.scheduler == nullptr || options_.schedule_skew == 0)
-      << "controlled scheduling and schedule_skew are mutually exclusive";
   CreateThread(program_.entry, 0, 0, kProgramExitMagic);
 
   obs::Span span(options_.obs.trace, "exec", "run");

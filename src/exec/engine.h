@@ -41,7 +41,6 @@
 #include "src/lift/lifter.h"
 #include "src/obs/report.h"
 #include "src/sched/scheduler.h"
-#include "src/support/rng.h"
 #include "src/vm/external.h"
 #include "src/vm/guest_context.h"
 #include "src/vm/memory.h"
@@ -54,21 +53,14 @@ class Tier2Backend;
 
 struct ExecOptions {
   uint64_t seed = 1;
-  bool cost_jitter = true;
   uint64_t max_steps = 4'000'000'000ull;
-  // Scheduler perturbation window (simulated cycles) for the TSO
-  // differential check: 0 keeps the deterministic min-clock order; a
-  // positive value makes the scheduler pick (seeded-)randomly among all
-  // runnable threads within `schedule_skew` cycles of the minimum clock,
-  // admitting alternative interleavings while staying reproducible.
-  uint64_t schedule_skew = 0;
   // Controlled scheduling (src/sched): when set, the min-clock scheduler is
   // replaced by an explicit decision loop — the current thread runs through
   // thread-private operations, and every guest-visible preemption point
   // (shared load/store, atomic, fence, external call, dispatcher boundary)
   // consults the Scheduler. Runs become a pure function of (seed, decision
   // log), which is what record/replay, PCT search and schedule shrinking
-  // build on. Mutually exclusive with schedule_skew. Not owned.
+  // build on. Not owned.
   sched::Scheduler* scheduler = nullptr;
   // Highest execution tier: 0 = interpret everything, 1 = translate hot
   // functions to superinstruction bytecode (DESIGN.md §4f), 2 = additionally
@@ -200,7 +192,6 @@ class Engine : public vm::GuestContext {
   uint64_t CallGuest(uint64_t entry, std::span<const uint64_t> args) override;
   void AddCost(uint64_t cycles) override;
   uint64_t now() override;
-  Rng& rng() override { return rng_; }
   std::string& output() override { return output_; }
   const std::vector<std::vector<uint8_t>>& inputs() override { return inputs_; }
   void RequestExit(int64_t code) override;
@@ -255,7 +246,6 @@ class Engine : public vm::GuestContext {
   ExecOptions options_;
   IrCostModel costs_;
   vm::Memory memory_;
-  Rng rng_;
 
   std::vector<std::unique_ptr<Thread>> threads_;
   int current_ = 0;

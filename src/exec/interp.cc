@@ -348,7 +348,7 @@ bool Engine::StepInstructionImpl(Thread& t) {
   // backend folds it into x86 addressing modes.
   if (inst.id >= 0 && info->fold_by_id[static_cast<size_t>(inst.id)] != 0) {
     cost = 0;
-  } else if (options_.cost_jitter) {
+  } else {
     cost += t.jitter_rng.Next() & 1;
   }
   t.clock += cost;

@@ -825,7 +825,6 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
   const std::vector<TInst>& code = tr->code;
   uint64_t* v = f->values.data();
   vm::Memory& mem = e_.memory_;
-  const bool jitter = e_.options_.cost_jitter;
   auto* profile = kObs ? e_.options_.obs.profile : nullptr;
   // Residency attribution target: the whole batch retires in this frame's
   // function (call/ret end the batch), and FuncInfo outlives the frame, so
@@ -886,10 +885,8 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
   };
   auto charge = [&](const TInst& ti) {
     uint64_t cost = ti.cost;
-    if (jitter) {
-      for (int j = 0; j < ti.jitter; ++j) {
-        cost += t.jitter_rng.Next() & 1;
-      }
+    for (int j = 0; j < ti.jitter; ++j) {
+      cost += t.jitter_rng.Next() & 1;
     }
     t.clock += cost;
     executed += ti.n_instrs;
@@ -1384,9 +1381,7 @@ bool Tier1Backend::StepImpl(Thread& t, StepMode mode) {
         } else {
           ++ff.tpc;
         }
-        if (jitter) {
-          t.clock += t.jitter_rng.Next() & 1;
-        }
+        t.clock += t.jitter_rng.Next() & 1;
         if constexpr (kObs) {
           if (profile != nullptr) {
             profile->AddInstrs(ti.site, 1);

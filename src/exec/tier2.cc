@@ -151,11 +151,10 @@ Mnemonic AluMnemonicFor(TOp op) {
 // bytes are position-independent and install anywhere.
 class FnEmitter {
  public:
-  FnEmitter(Engine& e, const Translation& tr, bool jitter, bool obs_attached,
+  FnEmitter(Engine& e, const Translation& tr, bool obs_attached,
             bool profile_attached)
       : e_(e),
         tr_(tr),
-        jitter_(jitter),
         obs_(obs_attached),
         profile_(profile_attached),
         a_(0) {}
@@ -299,10 +298,8 @@ class FnEmitter {
         Op2(Mnemonic::kAdd, Operand::R(kClock), Operand::R(Reg::kRax));
       }
     }
-    if (jitter_) {
-      for (int j = 0; j < ti.jitter; ++j) {
-        EmitJitterDraw();
-      }
+    for (int j = 0; j < ti.jitter; ++j) {
+      EmitJitterDraw();
     }
     if (ti.n_instrs != 0) {
       Op2(Mnemonic::kAdd, Operand::R(kExec), Operand::I(ti.n_instrs));
@@ -757,7 +754,6 @@ class FnEmitter {
 
   Engine& e_;
   const Translation& tr_;
-  const bool jitter_;
   const bool obs_;
   const bool profile_;
   x86::Assembler a_;
@@ -820,8 +816,8 @@ bool Tier2Backend::Translate(FuncInfo* info) {
     info->native_failed = true;
     return false;
   }
-  FnEmitter em(e_, *info->translation, e_.options_.cost_jitter,
-               e_.obs_attached_, e_.options_.obs.profile != nullptr);
+  FnEmitter em(e_, *info->translation, e_.obs_attached_,
+               e_.options_.obs.profile != nullptr);
   auto nc = std::make_shared<NativeCode>();
   std::vector<uint8_t> bytes;
   if (!em.Emit(&bytes, &nc->entry_off)) {
@@ -1142,9 +1138,7 @@ bool Tier2Backend::Step(Thread& t, StepMode mode) {
       } else {
         ++ff.tpc;
       }
-      if (e_.options_.cost_jitter) {
-        t.clock += t.jitter_rng.Next() & 1;
-      }
+      t.clock += t.jitter_rng.Next() & 1;
       if (e_.obs_attached_ && e_.options_.obs.profile != nullptr) {
         e_.options_.obs.profile->AddInstrs(ti.site, 1);
       }

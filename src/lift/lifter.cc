@@ -260,11 +260,10 @@ class FunctionLifter {
 
   Value* LoadMem(Value* addr, int size, bool stack_local) {
     ir::Instruction* load = b_.Load(size, addr);
-    if (s_.options.insert_fences &&
-        !(stack_local && s_.options.elide_stack_local_fences)) {
+    if (!(stack_local && s_.options.elide_stack_local_fences)) {
       b_.Fence(FenceOrder::kAcquire);
       CountFenceRetained();
-    } else if (s_.options.insert_fences && stack_local) {
+    } else {
       // Record WHY the acquire fence was elided so the TSO checker can
       // re-derive the claim from the IR alone.
       load->fence_witness = ir::FenceWitness::kStackLocal;
@@ -274,14 +273,12 @@ class FunctionLifter {
   }
 
   void StoreMem(Value* addr, int size, Value* v, bool stack_local) {
-    if (s_.options.insert_fences &&
-        !(stack_local && s_.options.elide_stack_local_fences)) {
+    if (!(stack_local && s_.options.elide_stack_local_fences)) {
       b_.Fence(FenceOrder::kRelease);
       CountFenceRetained();
     }
     ir::Instruction* store = b_.Store(size, addr, Mask(v, size));
-    if (s_.options.insert_fences && stack_local &&
-        s_.options.elide_stack_local_fences) {
+    if (stack_local && s_.options.elide_stack_local_fences) {
       store->fence_witness = ir::FenceWitness::kStackLocal;
       CountFenceElided();
     }
@@ -569,9 +566,7 @@ class FunctionLifter {
     // fenced — witnessed so the TSO checker can re-verify the claim.
     b_.Store(8, new_sp, C(static_cast<int64_t>(fallthrough)))->fence_witness =
         ir::FenceWitness::kStackLocal;
-    if (s_.options.insert_fences) {
-      CountFenceElided();
-    }
+    CountFenceElided();
 
     Value* next = b_.Call(callee, {});
     Value* ok = b_.ICmp(Pred::kEq, next, C(static_cast<int64_t>(fallthrough)));
@@ -661,9 +656,7 @@ class FunctionLifter {
         b_.GStore(s_.vr[static_cast<int>(Reg::kRsp)], new_sp);
         b_.Store(8, new_sp, C(static_cast<int64_t>(binfo.fallthrough)))
             ->fence_witness = ir::FenceWitness::kStackLocal;
-        if (s_.options.insert_fences) {
-          CountFenceElided();
-        }
+        CountFenceElided();
 
         BasicBlock* miss_block =
             cur_fn_->AddBlock(StrCat("miss_", bubble_counter_++));
@@ -729,9 +722,7 @@ class FunctionLifter {
         Value* sp = b_.GLoad(s_.vr[static_cast<int>(Reg::kRsp)]);
         ir::Instruction* ra = b_.Load(8, sp);
         ra->fence_witness = ir::FenceWitness::kStackLocal;
-        if (s_.options.insert_fences) {
-          CountFenceElided();
-        }
+        CountFenceElided();
         b_.GStore(s_.vr[static_cast<int>(Reg::kRsp)], b_.Add(sp, C(8)));
         b_.Ret(ra);
         return;
@@ -960,12 +951,12 @@ class FunctionLifter {
         Value* new_sp = b_.Sub(sp, C(8));
         b_.GStore(s_.vr[static_cast<int>(Reg::kRsp)], new_sp);
         // Emulated-stack traffic: stack-local by construction.
-        if (s_.options.insert_fences && !s_.options.elide_stack_local_fences) {
+        if (!s_.options.elide_stack_local_fences) {
           b_.Fence(FenceOrder::kRelease);
           CountFenceRetained();
         }
         ir::Instruction* push_store = b_.Store(8, new_sp, v);
-        if (s_.options.insert_fences && s_.options.elide_stack_local_fences) {
+        if (s_.options.elide_stack_local_fences) {
           push_store->fence_witness = ir::FenceWitness::kStackLocal;
           CountFenceElided();
         }
@@ -975,10 +966,10 @@ class FunctionLifter {
         Value* sp = b_.GLoad(s_.vr[static_cast<int>(Reg::kRsp)]);
         ir::Instruction* pop_load = b_.Load(8, sp);
         Value* v = pop_load;
-        if (s_.options.insert_fences && !s_.options.elide_stack_local_fences) {
+        if (!s_.options.elide_stack_local_fences) {
           b_.Fence(FenceOrder::kAcquire);
           CountFenceRetained();
-        } else if (s_.options.insert_fences) {
+        } else {
           pop_load->fence_witness = ir::FenceWitness::kStackLocal;
           CountFenceElided();
         }

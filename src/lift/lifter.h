@@ -42,9 +42,9 @@
 
 namespace polynima::lift {
 
+// Guest memory accesses are always lifted with Lasagne-style acquire/release
+// fences; fence-free IR comes from RecompileOptions::remove_fences.
 struct LiftOptions {
-  // Insert Lasagne-style acquire/release fences for guest memory accesses.
-  bool insert_fences = true;
   // Elide fences for accesses derived from the emulated stack pointer.
   bool elide_stack_local_fences = true;
 

@@ -60,7 +60,6 @@ int RemoveFences(ir::Module& m);
 
 struct PipelineOptions {
   bool inline_functions = false;  // only valid after callback analysis
-  int iterations = 3;
   // Worker threads for the per-function pass loop (0 = one per hardware
   // thread). Module-level passes (inlining, verification) stay serial.
   int jobs = 1;

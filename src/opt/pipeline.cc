@@ -10,6 +10,10 @@ namespace polynima::opt {
 
 namespace {
 
+// Upper bound on rounds of the per-function pass loop, which stops early at
+// a fixpoint.
+constexpr int kPassIterations = 3;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -24,7 +28,7 @@ void OptimizeFunction(ir::Function& f, ir::Module& m,
   SimplifyCfg(f);
   PromoteGlobals(f);
   int iterations_run = 0;
-  for (int i = 0; i < options.iterations; ++i) {
+  for (int i = 0; i < kPassIterations; ++i) {
     ++iterations_run;
     bool changed = false;
     changed |= LocalCse(f);

@@ -18,6 +18,10 @@ namespace polynima::recomp {
 
 namespace {
 
+// Additive rebuilds after which RunAdditive gives up on a run that keeps
+// missing control flow.
+constexpr int kMaxAdditiveRounds = 64;
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -49,7 +53,6 @@ void HashMix(uint64_t& h, uint64_t v) {
 uint64_t OptionsFingerprint(const RecompileOptions& options) {
   uint64_t h = 14695981039346656037ull;
   const lift::LiftOptions& lo = options.lift;
-  HashMix(h, lo.insert_fences);
   HashMix(h, lo.elide_stack_local_fences);
   HashMix(h, static_cast<uint64_t>(lo.atomics));
   HashMix(h, lo.thread_local_state);
@@ -61,7 +64,6 @@ uint64_t OptionsFingerprint(const RecompileOptions& options) {
     }
     HashMix(h, 0x1dull);
   }
-  HashMix(h, static_cast<uint64_t>(options.pipeline.iterations));
   HashMix(h, options.pipeline.inline_functions);
   HashMix(h, options.optimize);
   HashMix(h, options.remove_fences);
@@ -112,6 +114,23 @@ uint64_t HashFunctionCfg(const cfg::ControlFlowGraph& graph,
     HashMix(h, 0x9e3779b97f4a7c15ull);  // block separator
   }
   return h;
+}
+
+// True when two certificates prove the same sites with the same target sets
+// and declare the same functions covered.
+bool SameClaims(const check::CfgCert& a, const check::CfgCert& b) {
+  if (a.sites.size() != b.sites.size() ||
+      a.covered_functions != b.covered_functions) {
+    return false;
+  }
+  for (size_t i = 0; i < a.sites.size(); ++i) {
+    if (a.sites[i].transfer_address != b.sites[i].transfer_address ||
+        a.sites[i].is_call != b.sites[i].is_call ||
+        a.sites[i].targets != b.sites[i].targets) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -254,7 +273,7 @@ Expected<RecompiledBinary> Recompiler::Rebuild(
     analyze_options.obs = options_.obs;
     analyze::AnalysisResult analysis =
         analyze::AnalyzeProgram(program, analyze_options);
-    if (options_.lift.insert_fences && !options_.remove_fences) {
+    if (!options_.remove_fences) {
       fenceopt::ApplyStaticElision(*program.module, analysis);
     }
     options_.static_cert = analyze::MakeStaticCert(analysis, image_);
@@ -269,7 +288,7 @@ Expected<RecompiledBinary> Recompiler::Rebuild(
   // the pipeline so it judges the IR that will actually execute. Only the
   // builtin-atomics lowering is checkable (the naive-lock and plain modes
   // are documented as unordered translations).
-  if (options_.check_tso && options_.lift.insert_fences &&
+  if (options_.check_tso &&
       options_.lift.atomics == lift::LiftOptions::AtomicsMode::kBuiltin) {
     check::TsoCheckOptions check_options;
     check_options.binary_key = check::BinaryKey(image_);
@@ -358,36 +377,33 @@ Expected<RecompiledBinary> Recompiler::Recompile() {
     options_.elision_cert = fenceopt::MakeElisionCert(analysis, image_);
   }
 
-  // Sound indirect control-flow recovery: verify (or derive) the CfgCert,
-  // then rebuild with it. A supplied forged/stale certificate is rejected
-  // here — the pass re-derives a fresh one, so every site the analysis
-  // cannot prove falls back to dynamic recovery.
+  // Sound indirect control-flow recovery: derive the CfgCert from this
+  // image, then rebuild with it. A supplied certificate is accepted only if
+  // it makes exactly the derived claims; a forged, narrowed or stale one is
+  // counted as rejected. Either way the build consumes the derived cert, so
+  // every site the analysis cannot prove stays on dynamic recovery.
   if (options_.cfg_sound) {
-    if (options_.cfg_cert.has_value() &&
-        !check::VerifyCfgCert(*options_.cfg_cert, image_)) {
-      options_.cfg_cert.reset();
+    std::optional<check::CfgCert> supplied = std::move(options_.cfg_cert);
+    options_.cfg_cert.reset();
+    // First build keeps every cfmiss stub; the icf pass needs them to
+    // locate the indirect sites and their target values.
+    POLY_ASSIGN_OR_RETURN(RecompiledBinary probe, Rebuild(graph));
+    obs::Span icf_span(options_.obs.trace, "analyze", "icf-certify");
+    analyze::IcfOptions icf_options;
+    icf_options.obs = options_.obs;
+    analyze::IcfResult icf = analyze::AnalyzeIndirectControlFlow(
+        probe.program, image_, graph, icf_options);
+    stats_.icf_landing_pads = icf.landing_pads;
+    stats_.icf_sites_proven = icf.sites_proven;
+    stats_.icf_sites_open = icf.sites_open;
+    icf_json_ = icf.ToJson();
+    icf_span.Arg("proven", static_cast<int64_t>(icf.sites_proven));
+    icf_span.Arg("open", static_cast<int64_t>(icf.sites_open));
+    options_.cfg_cert = analyze::MakeCfgCert(icf, image_);
+    if (supplied.has_value() &&
+        !(check::VerifyCfgCert(*supplied, image_) &&
+          SameClaims(*supplied, *options_.cfg_cert))) {
       ++stats_.icf_certs_rejected;
-    }
-    if (!options_.cfg_cert.has_value()) {
-      // First build keeps every cfmiss stub; the icf pass needs them to
-      // locate the indirect sites and their target values.
-      POLY_ASSIGN_OR_RETURN(RecompiledBinary probe, Rebuild(graph));
-      obs::Span icf_span(options_.obs.trace, "analyze", "icf-certify");
-      analyze::IcfOptions icf_options;
-      icf_options.obs = options_.obs;
-      analyze::IcfResult icf = analyze::AnalyzeIndirectControlFlow(
-          probe.program, image_, graph, icf_options);
-      stats_.icf_landing_pads = icf.landing_pads;
-      stats_.icf_sites_proven = icf.sites_proven;
-      stats_.icf_sites_open = icf.sites_open;
-      icf_json_ = icf.ToJson();
-      icf_span.Arg("proven", static_cast<int64_t>(icf.sites_proven));
-      icf_span.Arg("open", static_cast<int64_t>(icf.sites_open));
-      options_.cfg_cert = analyze::MakeCfgCert(icf, image_);
-    } else {
-      stats_.icf_landing_pads = options_.cfg_cert->landing_pads;
-      stats_.icf_sites_proven = options_.cfg_cert->sites_proven;
-      stats_.icf_sites_open = options_.cfg_cert->sites_open;
     }
   }
   return Rebuild(graph);
@@ -397,7 +413,7 @@ Expected<exec::ExecResult> Recompiler::RunAdditive(
     RecompiledBinary& binary,
     const std::vector<std::vector<uint8_t>>& inputs,
     exec::ExecOptions exec_options) {
-  for (int round = 0; round <= options_.max_additive_rounds; ++round) {
+  for (int round = 0; round <= kMaxAdditiveRounds; ++round) {
     exec::ExecResult result = binary.Run(inputs, exec_options);
     if (result.ok || !result.miss.has_value()) {
       return result;
@@ -416,7 +432,7 @@ Expected<exec::ExecResult> Recompiler::RunAdditive(
   }
   return Status::Aborted(
       StrCat("additive lifting did not converge after ",
-             options_.max_additive_rounds, " rounds"));
+             kMaxAdditiveRounds, " rounds"));
 }
 
 Expected<RecompiledBinary> Recompiler::RecompileWithCallbackAnalysis(

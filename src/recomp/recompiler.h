@@ -40,7 +40,6 @@ struct RecompileOptions {
   // Remove all fences before optimizing (only after the §3.4 analysis has
   // proven the absence of implicit synchronization).
   bool remove_fences = false;
-  int max_additive_rounds = 64;
   // Directory for on-disk artifacts (cfg.json); optional.
   std::optional<std::string> project_dir;
   // Worker threads for the lift and per-function optimization phases
@@ -79,11 +78,11 @@ struct RecompileOptions {
   // uncovered-edge guards). Replay digests and step counts are unchanged:
   // the fallback arm is statically infeasible at a proven site.
   bool cfg_sound = false;
-  // Certificate consumed when cfg_sound is set. Populated by Recompile()
-  // when absent; a supplied certificate is verified against the image first
-  // and a forged/stale one is rejected (counted in stats.icf_certs_rejected)
-  // and re-derived — the build falls back to dynamic recovery at every site
-  // the fresh analysis cannot prove.
+  // Certificate consumed when cfg_sound is set. Recompile() always derives
+  // it afresh from the image and stores the derived cert here. A supplied
+  // certificate whose claims (sites, target sets, covered functions) or
+  // image binding differ from the derived one is rejected and counted in
+  // stats.icf_certs_rejected; the build uses the derived cert either way.
   std::optional<check::CfgCert> cfg_cert;
   // Observability sinks (all nullable; see src/obs). The driver fans the
   // session out to every phase: "cfg"/"trace"/"recomp"/"emit" spans here,
@@ -123,7 +122,7 @@ struct RecompileStats {
   int icf_landing_pads = 0;
   int icf_sites_proven = 0;
   int icf_sites_open = 0;
-  size_t icf_certs_rejected = 0;  // supplied CfgCerts refused (forged/stale)
+  size_t icf_certs_rejected = 0;  // supplied CfgCerts unlike the derived one
   uint64_t total_ns() const {
     return disassemble_ns + trace_ns + lift_ns + opt_ns;
   }

@@ -10,8 +10,7 @@
 // run would have returned first (lowest index), regardless of scheduling.
 //
 // With jobs == 1 no threads are created and ParallelFor degenerates to a
-// plain loop on the calling thread, making the serial path byte-identical to
-// the pre-pool code.
+// plain loop on the calling thread.
 #ifndef POLYNIMA_SUPPORT_THREAD_POOL_H_
 #define POLYNIMA_SUPPORT_THREAD_POOL_H_
 

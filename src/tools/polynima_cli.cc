@@ -78,8 +78,10 @@
 // one such schedule (inline or from a .sched corpus file) instead of
 // exploring.
 //
-// --jobs N runs the lift and per-function optimization phases on N worker
-// threads (default: one per hardware thread; output is identical for any N).
+// --jobs N runs the lift, per-function optimization and analysis phases on N
+// worker threads (default 1; 0 = one per hardware thread; output is
+// identical for any N). N must be a decimal count no larger than the host's
+// hardware concurrency; anything else is a usage error.
 //
 // --check-tso runs the static TSO-soundness checker (src/check) after every
 // (re)compilation: each guest memory access must be covered by a
@@ -113,6 +115,7 @@
 // A project directory persists the on-disk CFG (cfg.json) across runs, so
 // control-flow misses discovered on one execution benefit the next — the
 // on-device lifting workflow of §3.2.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,6 +124,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/analyze/analyze.h"
@@ -164,7 +168,7 @@ struct Args {
   std::string output;
   std::string project;
   int opt_level = 2;
-  int jobs = 0;  // 0 = one per hardware thread
+  int jobs = 1;  // 0 = one per hardware thread
   int schedules = 4;
   bool remove_fences = false;
   bool optimize = true;
@@ -194,6 +198,22 @@ struct Args {
   int top = 10;             // report: rows per table
   bool validate = false;    // report: structural validation only
 };
+
+// Parses a --jobs value: a decimal count from 0 (one worker per hardware
+// thread) up to the hardware concurrency.
+bool ParseJobs(const std::string& v, int* jobs) {
+  const int max_jobs = ThreadPool::ResolveJobs(0);
+  int n = -1;
+  auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (v.empty() || v[0] == '-' || ec != std::errc() ||
+      end != v.data() + v.size() || n > max_jobs) {
+    std::fprintf(stderr, "--jobs expects 0..%d (0 = one per hardware thread), "
+                 "got '%s'\n", max_jobs, v.c_str());
+    return false;
+  }
+  *jobs = n;
+  return true;
+}
 
 bool ParseArgs(int argc, char** argv, Args& args) {
   for (int i = 2; i < argc; ++i) {
@@ -239,7 +259,7 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (a == "--jobs") {
       std::string v;
       if (!next(v)) return false;
-      args.jobs = std::atoi(v.c_str());
+      if (!ParseJobs(v, &args.jobs)) return false;
     } else if (a == "--remove-fences") {
       args.remove_fences = true;
     } else if (a == "--check-tso") {

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/support/rng.h"
 #include "src/vm/memory.h"
 
 namespace polynima::vm {
@@ -47,8 +46,6 @@ class GuestContext {
   virtual void AddCost(uint64_t cycles) = 0;
   // Current thread's simulated clock.
   virtual uint64_t now() = 0;
-
-  virtual Rng& rng() = 0;
 
   // Program stdout.
   virtual std::string& output() = 0;

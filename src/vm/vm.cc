@@ -22,6 +22,8 @@ using x86::Reg;
 namespace {
 
 constexpr uint64_t kThreadStackSize = 1 << 20;  // 1 MiB per thread
+// Guest instructions after which a run faults as a deadlock or runaway loop.
+constexpr uint64_t kMaxSteps = 4'000'000'000ull;
 
 uint64_t MaskSize(uint64_t v, int size) {
   if (size >= 8) {
@@ -764,9 +766,9 @@ bool Vm::ExecuteInst(Thread& t, const Inst& inst) {
       return false;
   }
 
-  if (options_.cost_jitter) {
-    cost += rng_.Next() & 1;
-  }
+  // Per-instruction cost jitter so different seeds produce different
+  // interleavings.
+  cost += rng_.Next() & 1;
   t.clock += cost;
   cpu.rip = next_rip;
   return true;
@@ -852,7 +854,7 @@ RunResult Vm::Run() {
             best->cpu.rip);
       break;
     }
-    if (++steps_ > options_.max_steps) {
+    if (++steps_ > kMaxSteps) {
       Fault("step limit exceeded (possible deadlock or runaway loop)",
             best->cpu.rip);
       break;
@@ -932,7 +934,7 @@ uint64_t Vm::CallGuest(uint64_t entry, std::span<const uint64_t> args) {
     if (!Step(t)) {
       break;
     }
-    if (++steps_ > options_.max_steps) {
+    if (++steps_ > kMaxSteps) {
       Fault("step limit exceeded inside callback", t.cpu.rip);
       break;
     }

@@ -37,10 +37,6 @@ struct VmOptions {
   uint64_t seed = 1;
   // Split non-atomic RMW memory instructions into micro-steps.
   bool precise_races = false;
-  // Add per-instruction cost jitter so different seeds produce different
-  // interleavings.
-  bool cost_jitter = true;
-  uint64_t max_steps = 4'000'000'000ull;
   // Observability sinks (all nullable; see src/obs): one "vm"-category span
   // per run plus the vm.* counters (instructions, lock-prefixed atomics,
   // faults).
@@ -117,7 +113,6 @@ class Vm : public GuestContext {
   uint64_t CallGuest(uint64_t entry, std::span<const uint64_t> args) override;
   void AddCost(uint64_t cycles) override;
   uint64_t now() override;
-  Rng& rng() override { return rng_; }
   std::string& output() override { return output_; }
   const std::vector<std::vector<uint8_t>>& inputs() override { return inputs_; }
   void RequestExit(int64_t code) override;

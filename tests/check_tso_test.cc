@@ -310,6 +310,36 @@ TEST(TsoCert, CertBoundToOtherBinaryIsRejected) {
             std::string::npos);
 }
 
+// A certificate without a binding (key 0) is not a wildcard: checked against
+// a keyed image, both the ElisionCert and the StaticCert are refused.
+TEST(TsoCert, UnboundCertAgainstKeyedImageIsRejected) {
+  ir::Module m;
+  BuildUnfencedModule(m);
+  ElisionCert cert = SpinFreeCert();
+  cert.binary_key = 0;
+  cert.Seal();
+  TsoCheckOptions options;
+  options.cert = &cert;
+  options.binary_key = 0x1234;
+  TsoCheckReport r = CheckModule(m, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.violations[0].kind, "bad-cert");
+  EXPECT_NE(r.violations[0].message.find("different binary image"),
+            std::string::npos);
+  EXPECT_EQ(r.cert_covered, 0u);
+
+  StaticCert static_cert;
+  static_cert.Seal();
+  TsoCheckOptions static_options;
+  static_options.static_cert = &static_cert;
+  static_options.binary_key = 0x1234;
+  TsoCheckReport s = CheckModule(m, static_options);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.violations[0].kind, "bad-cert");
+  EXPECT_NE(s.violations[0].message.find("different binary image"),
+            std::string::npos);
+}
+
 // --- Recompiler integration ---------------------------------------------
 
 Expected<binary::Image> CompileSource(const std::string& source,

@@ -199,6 +199,46 @@ TEST(CfgCert, RecompilerRejectsForgedCertAndFallsBack) {
   EXPECT_EQ(result->output, reference);
 }
 
+// A cert whose target set was narrowed and then re-sealed passes the seal
+// and the binding, but it is not what the image proves: the recompiler
+// re-derives the claims, rejects it, and builds with the derived cert.
+TEST(CfgCert, RecompilerRejectsNarrowedResealedCert) {
+  const workloads::Workload& w = Named("fnptr_dispatch");
+  binary::Image image = CompileWorkload(w, 2);
+
+  recomp::RecompileOptions mint_options;
+  mint_options.cfg_sound = true;
+  recomp::Recompiler minter(image, mint_options);
+  ASSERT_TRUE(minter.Recompile().ok());
+  ASSERT_TRUE(minter.options().cfg_cert.has_value());
+  const check::CfgCert honest = *minter.options().cfg_cert;
+  check::CfgCert narrowed = honest;
+  ASSERT_FALSE(narrowed.sites.empty());
+  ASSERT_GT(narrowed.sites[0].targets.size(), 1u);
+  narrowed.sites[0].targets.pop_back();
+  narrowed.Seal();
+  ASSERT_TRUE(check::VerifyCfgCert(narrowed, image));
+
+  recomp::RecompileOptions options;
+  options.cfg_sound = true;
+  options.cfg_cert = narrowed;
+  recomp::Recompiler recompiler(std::move(image), options);
+  auto binary = recompiler.Recompile();
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  EXPECT_EQ(recompiler.stats().icf_certs_rejected, 1u);
+  ASSERT_TRUE(recompiler.options().cfg_cert.has_value());
+  EXPECT_EQ(recompiler.options().cfg_cert->sites[0].targets,
+            honest.sites[0].targets);
+
+  // The honest cert itself is accepted.
+  recomp::RecompileOptions honest_options;
+  honest_options.cfg_sound = true;
+  honest_options.cfg_cert = honest;
+  recomp::Recompiler consumer(minter.image(), honest_options);
+  ASSERT_TRUE(consumer.Recompile().ok());
+  EXPECT_EQ(consumer.stats().icf_certs_rejected, 0u);
+}
+
 // A certificate minted for a different binary (stale) is likewise rejected.
 TEST(CfgCert, RecompilerRejectsStaleCertFromOtherBinary) {
   binary::Image other = CompileWorkload(Named("switchboard"), 2);

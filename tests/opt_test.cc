@@ -11,6 +11,7 @@
 #include "src/ir/verifier.h"
 #include "src/lift/lifter.h"
 #include "src/opt/passes.h"
+#include "src/recomp/recompiler.h"
 #include "src/vm/vm.h"
 
 namespace polynima::opt {
@@ -204,13 +205,17 @@ TEST(OptPasses, FencesBlockLoadForwardingAcrossThem) {
       long b = g;
       return (int)(a + b);
     })";
-  lift::LiftOptions with_fences;
-  lift::LiftOptions no_fences;
-  no_fences.insert_fences = false;
-
-  auto fenced = Recompile(source, 0, with_fences);
-  auto unfenced = Recompile(source, 0, no_fences);
+  auto fenced = Recompile(source, 0);
   ASSERT_TRUE(fenced.ok());
+  cc::CompileOptions cc_options;
+  cc_options.name = "opt_test";
+  cc_options.opt_level = 0;
+  auto image = cc::Compile(source, cc_options);
+  ASSERT_TRUE(image.ok());
+  recomp::RecompileOptions no_fences;
+  no_fences.remove_fences = true;
+  recomp::Recompiler recompiler(std::move(*image), no_fences);
+  auto unfenced = recompiler.Recompile();
   ASSERT_TRUE(unfenced.ok());
   size_t fenced_loads = CountOps(*fenced->program.module, ir::Op::kLoad);
   size_t unfenced_loads = CountOps(*unfenced->program.module, ir::Op::kLoad);
@@ -218,7 +223,7 @@ TEST(OptPasses, FencesBlockLoadForwardingAcrossThem) {
 
   // Behaviour identical either way (single-threaded program).
   exec::ExecResult a = RunLifted(*fenced);
-  exec::ExecResult b = RunLifted(*unfenced);
+  exec::ExecResult b = unfenced->Run({});
   ASSERT_TRUE(a.ok);
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(a.exit_code, 10);

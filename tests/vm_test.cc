@@ -501,5 +501,60 @@ TEST(VmTest, ImageSerializationRoundTrip) {
   EXPECT_EQ(r.output, "55");
 }
 
+// Hostile images are made by editing a valid one; each must come back from
+// Deserialize as InvalidArgument, never as an Image.
+void ExpectRejected(const std::vector<uint8_t>& data, const std::string& what) {
+  auto back = Image::Deserialize(data);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().ToString().find(what), std::string::npos)
+      << back.status().ToString();
+}
+
+TEST(VmTest, DeserializeRejectsWrappingSegment) {
+  Image img = SumProgram();
+  binary::Segment wrap;
+  wrap.name = ".wrap";
+  wrap.address = ~0ull - 7;
+  wrap.bytes.assign(16, 0);
+  img.segments.push_back(wrap);
+  ExpectRejected(img.Serialize(), "wraps the address space");
+}
+
+TEST(VmTest, DeserializeRejectsOverlappingSegments) {
+  Image img = SumProgram();
+  binary::Segment overlap;
+  overlap.name = ".overlap";
+  overlap.address = img.segments[0].address + 1;
+  overlap.bytes.assign(4, 0);
+  img.segments.push_back(overlap);
+  ExpectRejected(img.Serialize(), "overlap");
+}
+
+TEST(VmTest, DeserializeRejectsUnknownSegmentFlags) {
+  Image img = SumProgram();
+  std::vector<uint8_t> data = img.Serialize();
+  // magic, name, entry point, segment count, then segment 0's name and
+  // address precede its flag word.
+  size_t flags_at = 8 + (8 + img.name.size()) + 8 + 8 +
+                    (8 + img.segments[0].name.size()) + 8;
+  ASSERT_EQ(data[flags_at], 1);  // segment 0 is the executable .text
+  data[flags_at] = 3;
+  ExpectRejected(data, "unknown flag value 3");
+}
+
+TEST(VmTest, DeserializeRejectsEntryOutsideCode) {
+  Image img = SumProgram();
+  img.entry_point = binary::kHeapBase;
+  ExpectRejected(img.Serialize(), "outside every executable segment");
+  // Inside a mapped segment that is not executable is no better.
+  for (const binary::Segment& seg : img.segments) {
+    if (!seg.executable && !seg.bytes.empty()) {
+      img.entry_point = seg.address;
+      ExpectRejected(img.Serialize(), "outside every executable segment");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace polynima::vm
