@@ -218,6 +218,12 @@ diff <(grep -v "cfg-sound:" "$obsdir/dispatch-sound.txt") \
 grep -E "cfg-sound: [0-9]+ landing pads, ([1-9][0-9]*)/\1 indirect sites proven, [1-9][0-9]* fully-covered" \
   "$obsdir/dispatch-sound.txt" || {
   echo "FAIL: --cfg-sound did not prove every indirect site" >&2; exit 1; }
+# The certified rebuild re-lifts only functions holding a proven site; the
+# others are cloned from the probe build's additive cache.
+"$polynima" recompile "$obsdir/dispatch.plyb" --cfg-sound \
+  | tee "$obsdir/dispatch-recompile.txt"
+grep -E "additive cache: [1-9][0-9]* hits" "$obsdir/dispatch-recompile.txt" || {
+  echo "FAIL: --cfg-sound rebuild hit no additive-cache entry" >&2; exit 1; }
 
 step "configure+build: asan-ubsan"
 cmake --preset asan-ubsan

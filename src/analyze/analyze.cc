@@ -1,21 +1,14 @@
 #include "src/analyze/analyze.h"
 
-#include <chrono>
-
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/clock.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 
 namespace polynima::analyze {
 
 namespace {
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -26,7 +19,7 @@ AnalysisResult AnalyzeProgram(const lift::LiftedProgram& program,
     return result;
   }
   obs::Span span(options.obs.trace, "analyze", "static-concurrency");
-  int64_t start = NowNs();
+  uint64_t start = NowNs();
 
   std::vector<const ir::Function*> functions;
   for (const auto& [addr, fn] : program.functions_by_entry) {
@@ -41,12 +34,11 @@ AnalysisResult AnalyzeProgram(const lift::LiftedProgram& program,
   ThreadPool pool(ThreadPool::ResolveJobs(options.jobs));
   const obs::Session& obs = options.obs;
   pool.ParallelFor(functions.size(), [&](size_t i) {
-    int64_t t0 = NowNs();
+    uint64_t t0 = NowNs();
     check::RegionDeriver deriver(*functions[i], program.externals);
     per_function[i] = AnalyzeEscapes(*functions[i], *program.module, deriver,
                                      program.externals);
-    obs.Observe(obs::Histogram::kAnalyzeFunctionNs,
-                static_cast<uint64_t>(NowNs() - t0));
+    obs.Observe(obs::Histogram::kAnalyzeFunctionNs, NowNs() - t0);
     return Status::Ok();
   });
 
@@ -82,7 +74,7 @@ AnalysisResult AnalyzeProgram(const lift::LiftedProgram& program,
                " (", p.reason, ")"));
   }
 
-  result.analyze_ns = NowNs() - start;
+  result.analyze_ns = static_cast<int64_t>(NowNs() - start);
 
   obs.Add(obs::Counter::kAnalyzeAccessesClassified,
           static_cast<uint64_t>(result.accesses));

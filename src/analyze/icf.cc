@@ -1,12 +1,13 @@
 #include "src/analyze/icf.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 
 #include "src/check/derive.h"
+#include "src/ir/analysis.h"
 #include "src/obs/trace.h"
+#include "src/support/clock.h"
 #include "src/support/strings.h"
 
 namespace polynima::analyze {
@@ -23,22 +24,6 @@ using ir::Value;
 // Concrete-set widening cap: a value whose feasible set would exceed this
 // many members degrades to "unbounded" (matches the jump-table read cap).
 constexpr size_t kMaxTargets = 512;
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Mirrors check/derive.cc: registers the SysV ABI requires a callee to
-// preserve. The two lists must agree — the deriver keeps provenance across
-// calls for exactly these, and the target solver keeps value facts for the
-// same set.
-bool IsCalleeSavedGpr(const std::string& name) {
-  return name == "vr_rbx" || name == "vr_rbp" || name == "vr_rsp" ||
-         name == "vr_r12" || name == "vr_r13" || name == "vr_r14" ||
-         name == "vr_r15";
-}
 
 // Concrete feasible-value set of one i64 value. Join-semilattice ordered by
 // inclusion with an explicit top ("unbounded"); bottom is the empty set
@@ -100,33 +85,6 @@ bool ReadRoValue(const binary::Image& image, uint64_t addr, int size,
   }
   *out = v;
   return true;
-}
-
-uint64_t ApplyBinop(Op op, uint64_t a, uint64_t b) {
-  switch (op) {
-    case Op::kAdd:
-      return a + b;
-    case Op::kSub:
-      return a - b;
-    case Op::kMul:
-      return a * b;
-    case Op::kAnd:
-      return a & b;
-    case Op::kOr:
-      return a | b;
-    case Op::kXor:
-      return a ^ b;
-    case Op::kShl:
-      return a << (b & 63);
-    case Op::kLShr:
-      return a >> (b & 63);
-    case Op::kAShr:
-      return static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
-    case Op::kURem:
-      return b == 0 ? 0 : a % b;
-    default:
-      return 0;
-  }
 }
 
 // Forward dataflow computing a Fact for every instruction of one function.
@@ -202,10 +160,12 @@ class TargetSolver {
       Fact r;
       for (uint64_t x : a.values) {
         for (uint64_t y : b.values) {
-          if (op == Op::kURem && y == 0) {
-            return Fact::Top();
+          int64_t v;
+          if (!ir::FoldBinary(op, static_cast<int64_t>(x),
+                              static_cast<int64_t>(y), &v)) {
+            return Fact::Top();  // a division the executors fault on
           }
-          r.values.insert(ApplyBinop(op, x, y));
+          r.values.insert(static_cast<uint64_t>(v));
           if (r.values.size() > kMaxTargets) {
             return Fact::Top();
           }
@@ -324,7 +284,7 @@ class TargetSolver {
     // the register comes back 8 above the stored value (the deriver models
     // the shift; a concrete value fact cannot, so it is dropped).
     for (auto it = state.globals.begin(); it != state.globals.end();) {
-      if (!IsCalleeSavedGpr(it->first->name()) ||
+      if (!ir::IsCalleeSavedGpr(it->first->name()) ||
           (call.callee != nullptr && it->first->name() == "vr_rsp")) {
         it = state.globals.erase(it);
       } else {
@@ -511,7 +471,7 @@ IcfResult AnalyzeIndirectControlFlow(const lift::LiftedProgram& program,
     return result;
   }
   obs::Span span(options.obs.trace, "analyze", "icf");
-  int64_t start_ns = NowNs();
+  uint64_t start_ns = NowNs();
 
   std::vector<uint64_t> pads = cfg::CollectLandingPads(image);
   result.landing_pads = static_cast<int>(pads.size());
@@ -706,7 +666,7 @@ IcfResult AnalyzeIndirectControlFlow(const lift::LiftedProgram& program,
     }
   }
 
-  result.analyze_ns = NowNs() - start_ns;
+  result.analyze_ns = static_cast<int64_t>(NowNs() - start_ns);
   span.Arg("landing_pads", static_cast<int64_t>(result.landing_pads));
   span.Arg("sites_proven", static_cast<int64_t>(result.sites_proven));
   span.Arg("sites_open", static_cast<int64_t>(result.sites_open));

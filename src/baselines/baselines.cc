@@ -1,8 +1,7 @@
 #include "src/baselines/baselines.h"
 
-#include <chrono>
-
 #include "src/cfg/cfg.h"
+#include "src/support/clock.h"
 #include "src/support/strings.h"
 #include "src/vm/vm.h"
 #include "src/x86/decoder.h"
@@ -10,13 +9,6 @@
 namespace polynima::baselines {
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Per-instruction translation overhead inside the emulated tracer, measured
 // in redundant decode operations. Chosen so emulation tracing lands two

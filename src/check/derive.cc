@@ -1,5 +1,6 @@
 #include "src/check/derive.h"
 
+#include "src/ir/analysis.h"
 #include "src/support/strings.h"
 
 namespace polynima::check {
@@ -12,15 +13,6 @@ using ir::Global;
 using ir::Instruction;
 using ir::Op;
 using ir::Value;
-
-// Registers the SysV ABI requires a callee to preserve. The lifter's guest
-// calls and the engine's external dispatch both honor this: anything else is
-// clobbered at a call boundary.
-bool IsCalleeSavedGpr(const std::string& name) {
-  return name == "vr_rbx" || name == "vr_rbp" || name == "vr_rsp" ||
-         name == "vr_r12" || name == "vr_r13" || name == "vr_r14" ||
-         name == "vr_r15";
-}
 
 bool IsGpr(const std::string& name) {
   return name.size() > 3 && name.compare(0, 3, "vr_") == 0;
@@ -125,7 +117,7 @@ void RegionDeriver::ApplyCallClobbers(const Instruction& call,
   Provenance other;
   other.other = true;
   for (auto& [g, p] : state) {
-    if (IsGpr(g->name()) && !IsCalleeSavedGpr(g->name())) {
+    if (IsGpr(g->name()) && !ir::IsCalleeSavedGpr(g->name())) {
       p = other;
     }
   }

@@ -1,74 +1,59 @@
 #include "src/check/witness.h"
 
 #include "src/binary/image.h"
+#include "src/support/hash.h"
 
 namespace polynima::check {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-void HashBytes(uint64_t& h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h = (h ^ p[i]) * kFnvPrime;
-  }
-}
-
-void HashU64(uint64_t& h, uint64_t v) { HashBytes(h, &v, sizeof(v)); }
-
-}  // namespace
-
 uint64_t ElisionCert::ComputeChecksum() const {
-  uint64_t h = kFnvOffset;
-  HashU64(h, binary_key);
-  HashU64(h, static_cast<uint64_t>(loops_analyzed));
-  HashU64(h, static_cast<uint64_t>(spinning_loops));
-  HashU64(h, static_cast<uint64_t>(uncovered_loops));
+  uint64_t h = kFnvOffsetBasis;
+  FnvMixU64(h, binary_key);
+  FnvMixU64(h, static_cast<uint64_t>(loops_analyzed));
+  FnvMixU64(h, static_cast<uint64_t>(spinning_loops));
+  FnvMixU64(h, static_cast<uint64_t>(uncovered_loops));
   for (const std::string& s : loop_summaries) {
-    HashU64(h, s.size());
-    HashBytes(h, s.data(), s.size());
+    FnvMixU64(h, s.size());
+    FnvMixBytes(h, s.data(), s.size());
   }
   return h;
 }
 
 uint64_t StaticCert::ComputeChecksum() const {
-  uint64_t h = kFnvOffset;
-  HashU64(h, binary_key);
-  HashU64(h, static_cast<uint64_t>(functions_analyzed));
-  HashU64(h, static_cast<uint64_t>(alloc_sites));
-  HashU64(h, static_cast<uint64_t>(escaped_sites));
-  HashU64(h, static_cast<uint64_t>(heap_witnesses));
-  HashU64(h, static_cast<uint64_t>(shared_accesses));
-  HashU64(h, static_cast<uint64_t>(race_pairs));
+  uint64_t h = kFnvOffsetBasis;
+  FnvMixU64(h, binary_key);
+  FnvMixU64(h, static_cast<uint64_t>(functions_analyzed));
+  FnvMixU64(h, static_cast<uint64_t>(alloc_sites));
+  FnvMixU64(h, static_cast<uint64_t>(escaped_sites));
+  FnvMixU64(h, static_cast<uint64_t>(heap_witnesses));
+  FnvMixU64(h, static_cast<uint64_t>(shared_accesses));
+  FnvMixU64(h, static_cast<uint64_t>(race_pairs));
   for (const std::string& s : site_summaries) {
-    HashU64(h, s.size());
-    HashBytes(h, s.data(), s.size());
+    FnvMixU64(h, s.size());
+    FnvMixBytes(h, s.data(), s.size());
   }
   return h;
 }
 
 uint64_t CfgCert::ComputeChecksum() const {
-  uint64_t h = kFnvOffset;
-  HashU64(h, binary_key);
-  HashU64(h, static_cast<uint64_t>(landing_pads));
-  HashU64(h, static_cast<uint64_t>(sites_proven));
-  HashU64(h, static_cast<uint64_t>(sites_open));
+  uint64_t h = kFnvOffsetBasis;
+  FnvMixU64(h, binary_key);
+  FnvMixU64(h, static_cast<uint64_t>(landing_pads));
+  FnvMixU64(h, static_cast<uint64_t>(sites_proven));
+  FnvMixU64(h, static_cast<uint64_t>(sites_open));
   for (const Site& site : sites) {
-    HashU64(h, site.transfer_address);
-    HashU64(h, site.is_call ? 1 : 0);
-    HashU64(h, site.targets.size());
+    FnvMixU64(h, site.transfer_address);
+    FnvMixU64(h, site.is_call ? 1 : 0);
+    FnvMixU64(h, site.targets.size());
     for (uint64_t t : site.targets) {
-      HashU64(h, t);
+      FnvMixU64(h, t);
     }
   }
   for (uint64_t e : covered_functions) {
-    HashU64(h, e);
+    FnvMixU64(h, e);
   }
   for (const std::string& s : site_summaries) {
-    HashU64(h, s.size());
-    HashBytes(h, s.data(), s.size());
+    FnvMixU64(h, s.size());
+    FnvMixBytes(h, s.data(), s.size());
   }
   return h;
 }
@@ -87,12 +72,12 @@ bool VerifyCfgCert(const CfgCert& cert, const binary::Image& image) {
 }
 
 uint64_t BinaryKey(const binary::Image& image) {
-  uint64_t h = kFnvOffset;
-  HashU64(h, image.entry_point);
+  uint64_t h = kFnvOffsetBasis;
+  FnvMixU64(h, image.entry_point);
   for (const binary::Segment& seg : image.segments) {
-    HashU64(h, seg.address);
-    HashU64(h, seg.bytes.size());
-    HashBytes(h, seg.bytes.data(), seg.bytes.size());
+    FnvMixU64(h, seg.address);
+    FnvMixU64(h, seg.bytes.size());
+    FnvMixBytes(h, seg.bytes.data(), seg.bytes.size());
   }
   return h;
 }

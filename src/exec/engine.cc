@@ -1,12 +1,13 @@
 #include "src/exec/engine.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/exec/exec_util.h"
 #include "src/exec/interp.h"
 #include "src/exec/tier1.h"
 #include "src/exec/tier2.h"
+#include "src/support/clock.h"
+#include "src/support/hash.h"
 #include "src/support/strings.h"
 #include "src/vm/code_buffer.h"
 #include "src/x86/registers.h"
@@ -315,12 +316,9 @@ void Engine::MaybeTierUp(Frame& f) {
       uint64_t wall_ns = 0;
       bool translated;
       if (tierprof_ != nullptr) {
-        auto t0 = std::chrono::steady_clock::now();
+        uint64_t t0 = NowNs();
         translated = tier1_->Translate(info);
-        wall_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
+        wall_ns = NowNs() - t0;
       } else {
         translated = tier1_->Translate(info);
       }
@@ -371,12 +369,9 @@ void Engine::MaybeTierUp(Frame& f) {
     uint64_t wall_ns = 0;
     bool emitted;
     if (tierprof_ != nullptr) {
-      auto t0 = std::chrono::steady_clock::now();
+      uint64_t t0 = NowNs();
       emitted = tier2_->Translate(info);
-      wall_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
+      wall_ns = NowNs() - t0;
     } else {
       emitted = tier2_->Translate(info);
     }
@@ -728,26 +723,19 @@ void Engine::RunControlledLoop() {
 
 uint64_t Engine::StateDigest() {
   uint64_t h = memory_.Digest();
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (i * 8)) & 0xff)) * 1099511628211ull;
-    }
-  };
   for (uint64_t v : shared_globals_) {
-    mix(v);
+    FnvMixU64(h, v);
   }
   for (const auto& t : threads_) {
-    mix(static_cast<uint64_t>(t->finished));
-    mix(t->retval);
+    FnvMixU64(h, static_cast<uint64_t>(t->finished));
+    FnvMixU64(h, t->retval);
     for (uint64_t v : t->tls) {
-      mix(v);
+      FnvMixU64(h, v);
     }
   }
-  for (char c : output_) {
-    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
-  }
-  mix(static_cast<uint64_t>(exit_code_));
-  mix(static_cast<uint64_t>(faulted_));
+  FnvMixBytes(h, output_.data(), output_.size());
+  FnvMixU64(h, static_cast<uint64_t>(exit_code_));
+  FnvMixU64(h, static_cast<uint64_t>(faulted_));
   return h;
 }
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/ir/analysis.h"
 #include "src/lift/lifter.h"
 #include "src/opt/passes.h"
 #include "src/support/strings.h"
@@ -14,120 +15,13 @@ namespace polynima::fenceopt {
 using exec::AccessRecord;
 using ir::BasicBlock;
 using ir::Constant;
-using ir::Function;
 using ir::Instruction;
 using ir::Module;
+using ir::NaturalLoop;
 using ir::Op;
 using ir::Value;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Dominators + natural loops
-// ---------------------------------------------------------------------------
-
-struct LoopInfo {
-  BasicBlock* header = nullptr;
-  std::set<BasicBlock*> body;
-};
-
-std::map<BasicBlock*, BasicBlock*> ComputeIdoms(Function& f) {
-  std::vector<BasicBlock*> rpo = opt::ReversePostOrder(f);
-  std::map<BasicBlock*, int> order;
-  for (size_t i = 0; i < rpo.size(); ++i) {
-    order[rpo[i]] = static_cast<int>(i);
-  }
-  auto preds = opt::Predecessors(f);
-  std::map<BasicBlock*, BasicBlock*> idom;
-  BasicBlock* entry = f.entry();
-  idom[entry] = entry;
-
-  auto intersect = [&](BasicBlock* a, BasicBlock* b) {
-    while (a != b) {
-      while (order[a] > order[b]) {
-        a = idom[a];
-      }
-      while (order[b] > order[a]) {
-        b = idom[b];
-      }
-    }
-    return a;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (BasicBlock* b : rpo) {
-      if (b == entry) {
-        continue;
-      }
-      BasicBlock* new_idom = nullptr;
-      for (BasicBlock* p : preds[b]) {
-        if (idom.count(p) == 0) {
-          continue;
-        }
-        new_idom = new_idom == nullptr ? p : intersect(new_idom, p);
-      }
-      if (new_idom != nullptr && idom[b] != new_idom) {
-        idom[b] = new_idom;
-        changed = true;
-      }
-    }
-  }
-  return idom;
-}
-
-bool Dominates(const std::map<BasicBlock*, BasicBlock*>& idom, BasicBlock* a,
-               BasicBlock* b) {
-  BasicBlock* cur = b;
-  while (true) {
-    if (cur == a) {
-      return true;
-    }
-    auto it = idom.find(cur);
-    if (it == idom.end() || it->second == cur) {
-      return cur == a;
-    }
-    cur = it->second;
-  }
-}
-
-std::vector<LoopInfo> FindNaturalLoops(Function& f) {
-  auto idom = ComputeIdoms(f);
-  auto preds = opt::Predecessors(f);
-  std::map<BasicBlock*, LoopInfo> by_header;
-  for (auto& block : f.blocks()) {
-    for (BasicBlock* succ : block->Successors()) {
-      if (idom.count(block.get()) == 0) {
-        continue;  // unreachable
-      }
-      if (!Dominates(idom, succ, block.get())) {
-        continue;  // not a back edge
-      }
-      // Natural loop of back edge block->succ: reverse reachability from
-      // the tail without passing through the header.
-      LoopInfo& loop = by_header[succ];
-      loop.header = succ;
-      loop.body.insert(succ);
-      std::vector<BasicBlock*> work{block.get()};
-      while (!work.empty()) {
-        BasicBlock* b = work.back();
-        work.pop_back();
-        if (!loop.body.insert(b).second) {
-          continue;
-        }
-        for (BasicBlock* p : preds[b]) {
-          work.push_back(p);
-        }
-      }
-    }
-  }
-  std::vector<LoopInfo> loops;
-  for (auto& [header, loop] : by_header) {
-    loops.push_back(std::move(loop));
-  }
-  return loops;
-}
 
 // ---------------------------------------------------------------------------
 // Instruction influence analysis (§3.4.2)
@@ -146,11 +40,15 @@ Influence Max(Influence a, Influence b) {
 
 class Classifier {
  public:
-  Classifier(const LoopInfo& loop,
+  Classifier(const NaturalLoop& loop,
              const std::map<const Instruction*, AccessRecord>& accesses)
       : loop_(loop), accesses_(accesses) {
-    // Gather intra-loop stores once.
-    for (BasicBlock* b : loop_.body) {
+    // Gather intra-loop stores once, in block order: the classification
+    // must not depend on where the allocator placed the blocks.
+    for (const auto& b : loop_.header->function()->blocks()) {
+      if (loop_.body.count(b.get()) == 0) {
+        continue;
+      }
       for (auto& inst : b->insts()) {
         if (inst->op() == Op::kStore) {
           stores_.push_back(inst.get());
@@ -268,7 +166,7 @@ class Classifier {
     }
   }
 
-  const LoopInfo& loop_;
+  const NaturalLoop& loop_;
   const std::map<const Instruction*, AccessRecord>& accesses_;
   std::vector<const Instruction*> stores_;
   std::set<const Instruction*> phis_in_progress_;
@@ -282,16 +180,19 @@ SpinloopAnalysis AnalyzeLoops(
     const std::map<const Instruction*, AccessRecord>& accesses) {
   SpinloopAnalysis analysis;
   for (auto& f : module.functions()) {
-    for (const LoopInfo& loop : FindNaturalLoops(*f)) {
+    for (const NaturalLoop& loop : ir::FindNaturalLoops(*f)) {
       LoopVerdict verdict;
       verdict.function = f->name();
       verdict.header_block = loop.header->name();
       verdict.guest_address = loop.header->guest_address;
 
-      // Exit conditions: conditional terminators in the body with at least
-      // one successor outside the loop.
+      // Exit conditions, in block order: conditional terminators in the
+      // body with at least one successor outside the loop.
       std::vector<const Value*> exit_conditions;
-      for (BasicBlock* b : loop.body) {
+      for (const auto& b : f->blocks()) {
+        if (loop.body.count(b.get()) == 0) {
+          continue;
+        }
         Instruction* term = b->terminator();
         if (term == nullptr) {
           continue;

@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "src/ir/analysis.h"
 #include "src/support/strings.h"
 
 namespace polynima::ir {
@@ -52,98 +53,6 @@ int FixedOperandCount(Op op) {
   }
   return -1;
 }
-
-// Dominator tree over the blocks reachable from entry (Cooper-Harvey-Kennedy
-// iterative scheme, same shape as fenceopt's loop analysis). Unreachable
-// blocks get no idom and are exempt from dominance queries: passes may leave
-// dead blocks behind and DCE cleans them up later.
-class Dominance {
- public:
-  explicit Dominance(const Function& f) {
-    // Reverse post-order via iterative DFS.
-    std::set<const BasicBlock*> visited;
-    std::vector<std::pair<const BasicBlock*, size_t>> stack;
-    const BasicBlock* entry = f.entry();
-    stack.push_back({entry, 0});
-    visited.insert(entry);
-    std::vector<const BasicBlock*> post;
-    while (!stack.empty()) {
-      auto& [b, i] = stack.back();
-      std::vector<BasicBlock*> succs = b->Successors();
-      if (i < succs.size()) {
-        const BasicBlock* s = succs[i++];
-        if (visited.insert(s).second) {
-          stack.push_back({s, 0});
-        }
-      } else {
-        post.push_back(b);
-        stack.pop_back();
-      }
-    }
-    rpo_.assign(post.rbegin(), post.rend());
-    for (size_t i = 0; i < rpo_.size(); ++i) {
-      rpo_index_[rpo_[i]] = i;
-    }
-    std::map<const BasicBlock*, std::vector<const BasicBlock*>> preds;
-    for (const BasicBlock* b : rpo_) {
-      for (BasicBlock* s : b->Successors()) {
-        preds[s].push_back(b);
-      }
-    }
-    idom_[entry] = entry;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = 1; i < rpo_.size(); ++i) {
-        const BasicBlock* b = rpo_[i];
-        const BasicBlock* new_idom = nullptr;
-        for (const BasicBlock* p : preds[b]) {
-          if (idom_.count(p) == 0) {
-            continue;  // predecessor not yet processed
-          }
-          new_idom = new_idom == nullptr ? p : Intersect(p, new_idom);
-        }
-        if (new_idom != nullptr && idom_[b] != new_idom) {
-          idom_[b] = new_idom;
-          changed = true;
-        }
-      }
-    }
-  }
-
-  bool Reachable(const BasicBlock* b) const { return rpo_index_.count(b) != 0; }
-
-  // True when `a` dominates `b`. Both must be reachable.
-  bool Dominates(const BasicBlock* a, const BasicBlock* b) const {
-    while (true) {
-      if (b == a) {
-        return true;
-      }
-      const BasicBlock* up = idom_.at(b);
-      if (up == b) {
-        return false;  // reached entry without meeting `a`
-      }
-      b = up;
-    }
-  }
-
- private:
-  const BasicBlock* Intersect(const BasicBlock* a, const BasicBlock* b) const {
-    while (a != b) {
-      while (rpo_index_.at(a) > rpo_index_.at(b)) {
-        a = idom_.at(a);
-      }
-      while (rpo_index_.at(b) > rpo_index_.at(a)) {
-        b = idom_.at(b);
-      }
-    }
-    return a;
-  }
-
-  std::vector<const BasicBlock*> rpo_;
-  std::map<const BasicBlock*, size_t> rpo_index_;
-  std::map<const BasicBlock*, const BasicBlock*> idom_;
-};
 
 }  // namespace
 
@@ -195,7 +104,7 @@ Status Verify(const Function& f) {
     }
   }
 
-  Dominance dom(f);
+  DominatorTree dom(f);
 
   // Def-before-use: the definition must dominate the use. Phi operands are
   // validated against their incoming edge (the def must be live at the end

@@ -1,10 +1,10 @@
 #include "src/lift/lifter.h"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 #include "src/ir/builder.h"
+#include "src/support/clock.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 #include "src/x86/decoder.h"
@@ -36,13 +36,6 @@ using x86::Reg;
 namespace {
 
 enum FlagIndex { kCf = 0, kPf = 1, kZf = 2, kSf = 3, kOf = 4 };
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Module-level state built serially before function bodies are lifted.
 // During the parallel body phase this is read-only, with one exception: the

@@ -78,8 +78,9 @@ struct LiftOptions {
   // on its own CFG, never on worker scheduling.
   int jobs = 1;
 
-  // Sound indirect-control-flow certificate (--cfg-sound), already verified
-  // against the image by the caller (check::VerifyCfgCert). At each proven
+  // Sound indirect-control-flow certificate (--cfg-sound), trusted as given:
+  // the caller derives it from this image (the recompiler consumes only the
+  // cert its own icf pass minted). At each proven
   // site whose certified targets are all emitted switch arms, the cfmiss
   // stub in the default block is replaced by a covered dispatcher-fallback
   // block (Ret target) — statically infeasible when the proof holds, so the

@@ -79,8 +79,6 @@ int BucketOf(uint64_t value) {
   return b;
 }
 
-std::atomic<uint64_t> g_next_registry_id{1};
-
 }  // namespace
 
 const char* CounterName(Counter c) {
@@ -94,57 +92,18 @@ const char* HistogramName(Histogram h) {
   return kHistogramNames[static_cast<int>(h)];
 }
 
-MetricsRegistry::Shard::Shard() {
-  for (auto& c : counters) {
-    c.store(0, std::memory_order_relaxed);
-  }
-  for (auto& h : hists) {
-    for (auto& b : h.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-MetricsRegistry::MetricsRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard* MetricsRegistry::LocalShard() {
-  // One cached (registry id -> shard) pair per thread: re-resolved when the
-  // thread first touches a different registry. Registry ids are process-
-  // unique, so a stale cache entry can never alias a new registry.
-  struct Cache {
-    uint64_t registry_id = 0;
-    Shard* shard = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.registry_id != id_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    cache.registry_id = id_;
-    cache.shard = shards_.back().get();
-  }
-  return cache.shard;
-}
-
 void MetricsRegistry::Add(Counter c, uint64_t n) {
-  LocalShard()->counters[static_cast<int>(c)].fetch_add(
-      n, std::memory_order_relaxed);
+  counters_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Observe(Histogram h, uint64_t value) {
-  Shard::Hist& hist = LocalShard()->hists[static_cast<int>(h)];
-  hist.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-  hist.count.fetch_add(1, std::memory_order_relaxed);
-  hist.sum.fetch_add(value, std::memory_order_relaxed);
-  // Per-shard min/max are single-writer; a plain CAS-free update suffices.
-  if (value < hist.min.load(std::memory_order_relaxed)) {
-    hist.min.store(value, std::memory_order_relaxed);
-  }
-  if (value > hist.max.load(std::memory_order_relaxed)) {
-    hist.max.store(value, std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  Hist& hist = hists_[static_cast<int>(h)];
+  ++hist.buckets[BucketOf(value)];
+  ++hist.count;
+  hist.sum += value;
+  hist.min = std::min(hist.min, value);
+  hist.max = std::max(hist.max, value);
 }
 
 void MetricsRegistry::SetGauge(const std::string& name, int64_t value) {
@@ -153,58 +112,37 @@ void MetricsRegistry::SetGauge(const std::string& name, int64_t value) {
 }
 
 uint64_t MetricsRegistry::CounterValue(Counter c) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->counters[static_cast<int>(c)].load(
-        std::memory_order_relaxed);
-  }
-  return total;
+  return counters_[static_cast<int>(c)].load(std::memory_order_relaxed);
 }
 
 json::Value MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   json::Object counters;
   for (int i = 0; i < static_cast<int>(Counter::kNumCounters); ++i) {
-    uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      total += shard->counters[i].load(std::memory_order_relaxed);
-    }
-    counters[kCounterNames[i]] = total;
+    counters[kCounterNames[i]] = counters_[i].load(std::memory_order_relaxed);
   }
+  std::lock_guard<std::mutex> lock(mu_);
   json::Object gauges;
   for (const auto& [name, value] : gauges_) {
     gauges[name] = value;
   }
   json::Object histograms;
   for (int i = 0; i < static_cast<int>(Histogram::kNumHistograms); ++i) {
-    uint64_t count = 0, sum = 0, min = ~0ull, max = 0;
-    uint64_t buckets[kHistogramBuckets] = {0};
-    for (const auto& shard : shards_) {
-      const Shard::Hist& h = shard->hists[i];
-      count += h.count.load(std::memory_order_relaxed);
-      sum += h.sum.load(std::memory_order_relaxed);
-      min = std::min(min, h.min.load(std::memory_order_relaxed));
-      max = std::max(max, h.max.load(std::memory_order_relaxed));
-      for (int b = 0; b < kHistogramBuckets; ++b) {
-        buckets[b] += h.buckets[b].load(std::memory_order_relaxed);
-      }
-    }
-    if (count == 0) {
+    const Hist& h = hists_[i];
+    if (h.count == 0) {
       continue;  // empty histograms are omitted, unlike counters
     }
     json::Object hist;
-    hist["count"] = count;
-    hist["sum"] = sum;
-    hist["min"] = min;
-    hist["max"] = max;
+    hist["count"] = h.count;
+    hist["sum"] = h.sum;
+    hist["min"] = h.min;
+    hist["max"] = h.max;
     int top = kHistogramBuckets;
-    while (top > 1 && buckets[top - 1] == 0) {
+    while (top > 1 && h.buckets[top - 1] == 0) {
       --top;
     }
     json::Array bucket_array;
     for (int b = 0; b < top; ++b) {
-      bucket_array.push_back(buckets[b]);
+      bucket_array.push_back(h.buckets[b]);
     }
     hist["buckets"] = std::move(bucket_array);
     histograms[kHistogramNames[i]] = std::move(hist);

@@ -6,19 +6,17 @@
 // metric is a code change, so dashboards and the report schema never chase
 // dynamically invented names.
 //
-// Hot-path contract: Add()/Observe() touch only a per-thread shard (relaxed
-// atomics, no locks), so concurrent lift/optimize workers never contend;
-// shards are merged at scrape time (ToJson / CounterValue). Every call is a
-// no-op branch when made through a null registry pointer — see the
-// obs::Session helpers in report.h.
+// Hot-path contract: Add() is one relaxed atomic increment; Observe() takes
+// a mutex, which is cheap at the rate it is called (once per function by the
+// lift, opt and analyze workers). Every call is a no-op branch when made
+// through a null registry pointer — see the obs::Session helpers in
+// report.h.
 #ifndef POLYNIMA_OBS_METRICS_H_
 #define POLYNIMA_OBS_METRICS_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -104,20 +102,17 @@ const char* HistogramName(Histogram h);
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Lock-free after a thread's first call (which registers its shard).
   void Add(Counter c, uint64_t n = 1);
   void Observe(Histogram h, uint64_t value);
 
-  // Gauges are set rarely (run configuration); a mutex is fine.
+  // Gauges are set rarely (run configuration).
   void SetGauge(const std::string& name, int64_t value);
 
-  // Merged value across all shards (linearizes against concurrent Add only
-  // per-counter; scrape after parallel phases join for exact totals).
+  // Current total (scrape after parallel phases join for exact totals).
   uint64_t CounterValue(Counter c) const;
 
   // {"schema": "polynima-metrics/v1", "counters": {...}, "gauges": {...},
@@ -129,23 +124,18 @@ class MetricsRegistry {
  private:
   static constexpr int kHistogramBuckets = 64;  // bucket i: [2^i, 2^(i+1))
 
-  struct Shard {
-    std::atomic<uint64_t> counters[static_cast<int>(Counter::kNumCounters)];
-    struct Hist {
-      std::atomic<uint64_t> buckets[kHistogramBuckets];
-      std::atomic<uint64_t> count{0};
-      std::atomic<uint64_t> sum{0};
-      std::atomic<uint64_t> min{~0ull};
-      std::atomic<uint64_t> max{0};
-    } hists[static_cast<int>(Histogram::kNumHistograms)];
-    Shard();
+  struct Hist {
+    uint64_t buckets[kHistogramBuckets] = {};
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    uint64_t min = ~0ull;
+    uint64_t max = 0;
   };
 
-  Shard* LocalShard();
-
-  const uint64_t id_;  // process-unique, validates thread-local shard caches
-  mutable std::mutex mu_;
-  std::deque<std::unique_ptr<Shard>> shards_;
+  std::atomic<uint64_t> counters_[static_cast<int>(Counter::kNumCounters)] =
+      {};
+  mutable std::mutex mu_;  // guards hists_ and gauges_
+  Hist hists_[static_cast<int>(Histogram::kNumHistograms)];
   std::map<std::string, int64_t> gauges_;
 };
 

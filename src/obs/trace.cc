@@ -1,21 +1,14 @@
 #include "src/obs/trace.h"
 
 #include <atomic>
-#include <chrono>
 #include <map>
 
+#include "src/support/clock.h"
 #include "src/support/strings.h"
 
 namespace polynima::obs {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::atomic<int> g_next_lane{0};
 
@@ -26,9 +19,9 @@ int CurrentThreadLane() {
   return lane;
 }
 
-TraceSink::TraceSink() : epoch_ns_(SteadyNowNs()) {}
+TraceSink::TraceSink() : epoch_ns_(polynima::NowNs()) {}
 
-uint64_t TraceSink::NowNs() const { return SteadyNowNs() - epoch_ns_; }
+uint64_t TraceSink::NowNs() const { return polynima::NowNs() - epoch_ns_; }
 
 void TraceSink::Record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,3 +1,4 @@
+#include "src/ir/analysis.h"
 #include "src/opt/passes.h"
 
 namespace polynima::opt {
@@ -105,59 +106,6 @@ int KnownZeroHighBits(const Value* v, int depth = 0) {
       return 0;
     }
     default:
-      return 0;
-  }
-}
-
-int64_t FoldBinary(Op op, int64_t a, int64_t b, bool& ok) {
-  ok = true;
-  uint64_t ua = static_cast<uint64_t>(a);
-  uint64_t ub = static_cast<uint64_t>(b);
-  switch (op) {
-    case Op::kAdd:
-      return static_cast<int64_t>(ua + ub);
-    case Op::kSub:
-      return static_cast<int64_t>(ua - ub);
-    case Op::kMul:
-      return static_cast<int64_t>(ua * ub);
-    case Op::kAnd:
-      return a & b;
-    case Op::kOr:
-      return a | b;
-    case Op::kXor:
-      return a ^ b;
-    case Op::kShl:
-      return ub >= 64 ? 0 : static_cast<int64_t>(ua << ub);
-    case Op::kLShr:
-      return ub >= 64 ? 0 : static_cast<int64_t>(ua >> ub);
-    case Op::kAShr:
-      return a >> (ub >= 64 ? 63 : ub);
-    case Op::kSDiv:
-      if (b == 0 || (a == INT64_MIN && b == -1)) {
-        ok = false;
-        return 0;
-      }
-      return a / b;
-    case Op::kSRem:
-      if (b == 0 || (a == INT64_MIN && b == -1)) {
-        ok = false;
-        return 0;
-      }
-      return a % b;
-    case Op::kUDiv:
-      if (b == 0) {
-        ok = false;
-        return 0;
-      }
-      return static_cast<int64_t>(ua / ub);
-    case Op::kURem:
-      if (b == 0) {
-        ok = false;
-        return 0;
-      }
-      return static_cast<int64_t>(ua % ub);
-    default:
-      ok = false;
       return 0;
   }
 }
@@ -505,9 +453,8 @@ bool InstCombine(Function& f, Module& m) {
         bool ca = GetConst(inst->operand(0), a);
         bool cb = GetConst(inst->operand(1), b);
         if (ca && cb) {
-          bool ok;
-          int64_t r = FoldBinary(inst->op(), a, b, ok);
-          if (ok) {
+          int64_t r;
+          if (ir::FoldBinary(inst->op(), a, b, &r)) {
             replacement = m.GetConstant(r);
           }
         } else if (cb) {

@@ -18,7 +18,6 @@
 #ifndef POLYNIMA_OPT_PASSES_H_
 #define POLYNIMA_OPT_PASSES_H_
 
-#include <map>
 #include <vector>
 
 #include "src/ir/ir.h"
@@ -28,12 +27,6 @@
 namespace polynima::opt {
 
 // --- analysis helpers ---
-
-// Predecessor map for a function.
-std::map<ir::BasicBlock*, std::vector<ir::BasicBlock*>> Predecessors(
-    ir::Function& f);
-// Reverse post-order over reachable blocks.
-std::vector<ir::BasicBlock*> ReversePostOrder(ir::Function& f);
 
 // True if executing `inst` may read or clobber guest memory beyond its
 // explicit operands (calls; atomics handled separately by the passes).

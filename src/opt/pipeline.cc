@@ -1,9 +1,9 @@
 #include "src/opt/passes.h"
 
-#include <chrono>
 #include <vector>
 
 #include "src/ir/verifier.h"
+#include "src/support/clock.h"
 #include "src/support/thread_pool.h"
 
 namespace polynima::opt {
@@ -13,13 +13,6 @@ namespace {
 // Upper bound on rounds of the per-function pass loop, which stops early at
 // a fixpoint.
 constexpr int kPassIterations = 3;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 

@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 
+#include "src/ir/analysis.h"
 #include "src/ir/builder.h"
 #include "src/opt/passes.h"
 #include "src/support/strings.h"
@@ -42,7 +43,7 @@ struct GlobalSlotOrder {
 
 class Promoter {
  public:
-  explicit Promoter(Function& f) : f_(f), preds_(Predecessors(f)) {}
+  explicit Promoter(Function& f) : f_(f), preds_(ir::Predecessors(f)) {}
 
   bool Run() {
     // Pre-scan: which non-flag thread-local globals does this function ever
@@ -56,7 +57,7 @@ class Promoter {
         }
       }
     }
-    std::vector<BasicBlock*> rpo = ReversePostOrder(f_);
+    std::vector<BasicBlock*> rpo = ir::ReversePostOrder(f_);
     TrySeal(f_.entry());
     for (BasicBlock* block : rpo) {
       ProcessBlock(block);
@@ -245,12 +246,8 @@ class Promoter {
           // the stack pointers survive; only caller-saved state is
           // clobbered (the external may run callbacks).
           for (auto def = cur.begin(); def != cur.end();) {
-            const std::string& name = def->first->name();
-            bool preserved = name == "vr_rsp" || name == "vr_rbp" ||
-                             name == "vr_rbx" || name == "vr_r12" ||
-                             name == "vr_r13" || name == "vr_r14" ||
-                             name == "vr_r15";
-            def = preserved ? std::next(def) : cur.erase(def);
+            def = ir::IsCalleeSavedGpr(def->first->name()) ? std::next(def)
+                                                           : cur.erase(def);
           }
         } else {
           cur.clear();

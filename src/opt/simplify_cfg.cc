@@ -1,5 +1,6 @@
 #include <set>
 
+#include "src/ir/analysis.h"
 #include "src/opt/passes.h"
 
 namespace polynima::opt {
@@ -97,7 +98,7 @@ bool SimplifyCfg(Function& f) {
   }
 
   // 2. Remove unreachable blocks.
-  std::vector<BasicBlock*> rpo = ReversePostOrder(f);
+  std::vector<BasicBlock*> rpo = ir::ReversePostOrder(f);
   std::set<BasicBlock*> reachable(rpo.begin(), rpo.end());
   std::vector<BasicBlock*> to_remove;
   for (auto& block : f.blocks()) {
@@ -122,7 +123,7 @@ bool SimplifyCfg(Function& f) {
   bool merged = true;
   while (merged) {
     merged = false;
-    auto preds = Predecessors(f);
+    auto preds = ir::Predecessors(f);
     for (auto& block : f.blocks()) {
       Instruction* term = block->terminator();
       if (term == nullptr || term->op() != Op::kBr ||

@@ -1,6 +1,5 @@
 #include "src/recomp/recompiler.h"
 
-#include <chrono>
 #include <ctime>
 #include <filesystem>
 #include <set>
@@ -11,6 +10,8 @@
 #include "src/fenceopt/spinloop.h"
 #include "src/fenceopt/static_elide.h"
 #include "src/ir/clone.h"
+#include "src/support/clock.h"
+#include "src/support/hash.h"
 #include "src/support/strings.h"
 #include "src/vm/external.h"
 
@@ -21,13 +22,6 @@ namespace {
 // Additive rebuilds after which RunAdditive gives up on a run that keeps
 // missing control flow.
 constexpr int kMaxAdditiveRounds = 64;
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Process-wide CPU time: sums across all threads, so (cpu delta) /
 // (wall delta) over a parallel phase approximates its effective parallelism.
@@ -40,41 +34,26 @@ uint64_t CpuNowNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// FNV-1a over the 8 bytes of `v`.
-void HashMix(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-}
-
 // Everything outside the CFG that changes what a function lifts/optimizes
 // to. `jobs` is deliberately absent: parallelism must not affect output.
 uint64_t OptionsFingerprint(const RecompileOptions& options) {
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = kFnvOffsetBasis;
   const lift::LiftOptions& lo = options.lift;
-  HashMix(h, lo.elide_stack_local_fences);
-  HashMix(h, static_cast<uint64_t>(lo.atomics));
-  HashMix(h, lo.thread_local_state);
-  HashMix(h, lo.first_class_simd);
-  HashMix(h, lo.mark_all_external);
+  FnvMixU64(h, lo.elide_stack_local_fences);
+  FnvMixU64(h, static_cast<uint64_t>(lo.atomics));
+  FnvMixU64(h, lo.thread_local_state);
+  FnvMixU64(h, lo.first_class_simd);
+  FnvMixU64(h, lo.mark_all_external);
   for (const std::string& name : lo.observed_callbacks) {
     for (char c : name) {
-      HashMix(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
+      FnvMixU64(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
     }
-    HashMix(h, 0x1dull);
+    FnvMixU64(h, 0x1dull);
   }
-  HashMix(h, options.pipeline.inline_functions);
-  HashMix(h, options.optimize);
-  HashMix(h, options.remove_fences);
-  HashMix(h, options.analyze);  // stamps witnesses + elides fences in the IR
-  // A consumed CfgCert changes how proven indirect sites lift (the cfmiss
-  // stub becomes a covered fallback), so cached bodies from a cert-less
-  // round must not survive into a certified one or vice versa.
-  HashMix(h, options.cfg_cert.has_value());
-  if (options.cfg_cert.has_value()) {
-    HashMix(h, options.cfg_cert->checksum);
-  }
+  FnvMixU64(h, options.pipeline.inline_functions);
+  FnvMixU64(h, options.optimize);
+  FnvMixU64(h, options.remove_fences);
+  FnvMixU64(h, options.analyze);  // stamps witnesses + elides fences in the IR
   // check_tso is deliberately absent: the checker observes the IR, it never
   // changes what a function lifts/optimizes to.
   return h;
@@ -86,32 +65,45 @@ uint64_t OptionsFingerprint(const RecompileOptions& options) {
 // cross-function part — whether every direct/indirect control-flow target
 // resolves to a known function, which decides guest-call vs. cfmiss
 // lowering. A new function discovered at a previously-unknown target
-// therefore changes the hash of exactly its callers.
+// therefore changes the hash of exactly its callers. The consumed CfgCert
+// (null when none) enters only through the claims for sites inside the
+// function's own blocks: those decide whether a site lifts to a cfmiss stub
+// or a covered fallback, so a function without a proven site keys the same
+// in the probe build and in the certified rebuild.
 uint64_t HashFunctionCfg(const cfg::ControlFlowGraph& graph,
                          const cfg::FunctionInfo& fn_info,
+                         const check::CfgCert* cert,
                          uint64_t options_fingerprint) {
   uint64_t h = options_fingerprint;
-  HashMix(h, fn_info.entry);
+  FnvMixU64(h, fn_info.entry);
   for (uint64_t start : fn_info.block_starts) {
-    HashMix(h, start);
+    FnvMixU64(h, start);
     auto it = graph.blocks.find(start);
     if (it == graph.blocks.end()) {
       continue;
     }
     const cfg::BlockInfo& b = it->second;
-    HashMix(h, b.start);
-    HashMix(h, b.end);
-    HashMix(h, static_cast<uint64_t>(b.term));
-    HashMix(h, b.term_address);
-    HashMix(h, b.direct_target);
-    HashMix(h, graph.functions.count(b.direct_target));
-    HashMix(h, b.fallthrough);
-    HashMix(h, b.external_slot);
+    FnvMixU64(h, b.start);
+    FnvMixU64(h, b.end);
+    FnvMixU64(h, static_cast<uint64_t>(b.term));
+    FnvMixU64(h, b.term_address);
+    FnvMixU64(h, b.direct_target);
+    FnvMixU64(h, graph.functions.count(b.direct_target));
+    FnvMixU64(h, b.fallthrough);
+    FnvMixU64(h, b.external_slot);
     for (uint64_t target : b.indirect_targets) {
-      HashMix(h, target);
-      HashMix(h, graph.functions.count(target));
+      FnvMixU64(h, target);
+      FnvMixU64(h, graph.functions.count(target));
     }
-    HashMix(h, 0x9e3779b97f4a7c15ull);  // block separator
+    if (const check::CfgCert::Site* site =
+            cert != nullptr ? cert->FindSite(b.term_address) : nullptr) {
+      FnvMixU64(h, site->is_call);
+      FnvMixU64(h, site->targets.size());
+      for (uint64_t target : site->targets) {
+        FnvMixU64(h, target);
+      }
+    }
+    FnvMixU64(h, 0x9e3779b97f4a7c15ull);  // block separator
   }
   return h;
 }
@@ -161,12 +153,19 @@ Expected<RecompiledBinary> Recompiler::Rebuild(
   const bool use_cache = options_.incremental && options_.optimize &&
                          !options_.pipeline.inline_functions;
 
+  // The indirect-control-flow certificate is consumed only under
+  // cfg_sound, where Recompile() always holds the one it derived from this
+  // image: a supplied certificate never silences a cfmiss hook on its own.
+  const check::CfgCert* cert = options_.cfg_sound && options_.cfg_cert
+                                   ? &*options_.cfg_cert
+                                   : nullptr;
+
   std::set<uint64_t> reuse;                 // entries cloned from the cache
   std::map<uint64_t, uint64_t> fn_keys;     // entry -> this round's hash
   if (use_cache) {
     uint64_t fingerprint = OptionsFingerprint(options_);
     for (const auto& [entry, fn_info] : graph.functions) {
-      uint64_t key = HashFunctionCfg(graph, fn_info, fingerprint);
+      uint64_t key = HashFunctionCfg(graph, fn_info, cert, fingerprint);
       fn_keys[entry] = key;
       auto it = cache_.find(entry);
       if (it != cache_.end() && it->second.key == key) {
@@ -183,13 +182,7 @@ Expected<RecompiledBinary> Recompiler::Rebuild(
   lift_options.jobs = options_.jobs;
   lift_options.obs = options_.obs;
   lift_options.skip_bodies = reuse.empty() ? nullptr : &reuse;
-  // Consume the indirect-control-flow certificate only after re-verifying it
-  // against this image: a forged or stale certificate must never silence the
-  // cfmiss hooks (the sites simply stay on dynamic recovery).
-  if (options_.cfg_cert.has_value() &&
-      check::VerifyCfgCert(*options_.cfg_cert, image_)) {
-    lift_options.cfg_cert = &*options_.cfg_cert;
-  }
+  lift_options.cfg_cert = cert;
   options_.obs.Add(obs::Counter::kLiftFunctionsCached, reuse.size());
   POLY_ASSIGN_OR_RETURN(lift::LiftedProgram program,
                         lift::Lift(image_, graph, lift_options));

@@ -78,11 +78,12 @@ struct RecompileOptions {
   // uncovered-edge guards). Replay digests and step counts are unchanged:
   // the fallback arm is statically infeasible at a proven site.
   bool cfg_sound = false;
-  // Certificate consumed when cfg_sound is set. Recompile() always derives
-  // it afresh from the image and stores the derived cert here. A supplied
-  // certificate whose claims (sites, target sets, covered functions) or
-  // image binding differ from the derived one is rejected and counted in
-  // stats.icf_certs_rejected; the build uses the derived cert either way.
+  // Certificate consumed when cfg_sound is set, and ignored otherwise.
+  // Recompile() always derives it afresh from the image and stores the
+  // derived cert here. A supplied certificate whose claims (sites, target
+  // sets, covered functions) or image binding differ from the derived one is
+  // rejected and counted in stats.icf_certs_rejected; the build uses the
+  // derived cert either way.
   std::optional<check::CfgCert> cfg_cert;
   // Observability sinks (all nullable; see src/obs). The driver fans the
   // session out to every phase: "cfg"/"trace"/"recomp"/"emit" spans here,

@@ -52,10 +52,12 @@
 //   --perf-map <f>     Linux perf-compatible map of the installed native
 //                      code ranges (`addr size tierN:<function>` rows;
 //                      implies the --tier-prof recorder)
-// Flags may be spelled --flag value or --flag=value. All sinks are off by
-// default; the disabled cost at every instrumentation point is one branch
-// on a null pointer — and with no sink at all, dispatch selects instruction
-// loops with every check compiled out.
+// Flags may be spelled --flag value or --flag=value. A numeric flag takes a
+// non-negative decimal count (--seed and --tier-threshold also take 0x hex
+// and leading-0 octal); a malformed or out-of-range value is a usage error
+// (exit 2). All sinks are off by default; the disabled cost at every
+// instrumentation point is one branch on a null pointer — and with no sink
+// at all, dispatch selects instruction loops with every check compiled out.
 //
 // Tiered execution (src/exec, DESIGN.md §4f-4g) — `run` and `explore` accept:
 //   --tier 0|1|2         highest execution tier (default 0). Tier 1
@@ -117,14 +119,16 @@
 // on-device lifting workflow of §3.2.
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/analyze/analyze.h"
@@ -199,19 +203,28 @@ struct Args {
   bool validate = false;    // report: structural validation only
 };
 
-// Parses a --jobs value: a decimal count from 0 (one worker per hardware
-// thread) up to the hardware concurrency.
-bool ParseJobs(const std::string& v, int* jobs) {
-  const int max_jobs = ThreadPool::ResolveJobs(0);
-  int n = -1;
-  auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-  if (v.empty() || v[0] == '-' || ec != std::errc() ||
-      end != v.data() + v.size() || n > max_jobs) {
-    std::fprintf(stderr, "--jobs expects 0..%d (0 = one per hardware thread), "
-                 "got '%s'\n", max_jobs, v.c_str());
+// Parses the value of the numeric flag `flag` into 0..max: digits only, so
+// a sign, a space, trailing junk or an empty value is refused. Decimal,
+// unless `prefixed`, where a 0x prefix reads hex and a leading 0 octal (the
+// spellings strtoull's base 0 accepts). Prints a usage error otherwise;
+// `note` explains the range.
+bool ParseCount(const std::string& flag, const std::string& v, uint64_t max,
+                bool prefixed, const char* note, uint64_t* out) {
+  std::string_view digits = v;
+  int base = 10;
+  if (prefixed && digits.size() > 1 && digits[0] == '0') {
+    base = digits[1] == 'x' || digits[1] == 'X' ? 16 : 8;
+    digits.remove_prefix(base == 16 ? 2 : 1);
+  }
+  uint64_t n = 0;
+  const char* last = digits.data() + digits.size();
+  auto [end, ec] = std::from_chars(digits.data(), last, n, base);
+  if (digits.empty() || ec != std::errc() || end != last || n > max) {
+    std::fprintf(stderr, "%s expects 0..%llu%s, got '%s'\n", flag.c_str(),
+                 static_cast<unsigned long long>(max), note, v.c_str());
     return false;
   }
-  *jobs = n;
+  *out = n;
   return true;
 }
 
@@ -240,6 +253,19 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       out = argv[++i];
       return true;
     };
+    // Reads the value of numeric flag `a` into `*out` (see ParseCount).
+    auto count = [&](uint64_t max, auto* out, bool prefixed = false,
+                     const char* note = "") {
+      std::string v;
+      uint64_t n = 0;
+      if (!next(v) || !ParseCount(a, v, max, prefixed, note, &n)) {
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(n);
+      return true;
+    };
+    constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
     if (a == "-o") {
       if (!next(args.output)) return false;
     } else if (a == "-p") {
@@ -257,9 +283,10 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (a == "-O2" || a == "-O3") {
       args.opt_level = 2;
     } else if (a == "--jobs") {
-      std::string v;
-      if (!next(v)) return false;
-      if (!ParseJobs(v, &args.jobs)) return false;
+      if (!count(static_cast<uint64_t>(ThreadPool::ResolveJobs(0)), &args.jobs,
+                 false, " (0 = one per hardware thread)")) {
+        return false;
+      }
     } else if (a == "--remove-fences") {
       args.remove_fences = true;
     } else if (a == "--check-tso") {
@@ -271,36 +298,23 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (a == "--landing-pads") {
       args.landing_pads = true;
     } else if (a == "--schedules") {
-      std::string v;
-      if (!next(v)) return false;
-      args.schedules = std::atoi(v.c_str());
+      if (!count(kIntMax, &args.schedules)) return false;
     } else if (a == "--no-optimize") {
       args.optimize = false;
     } else if (a == "--budget") {
-      std::string v;
-      if (!next(v)) return false;
-      args.budget = std::atoi(v.c_str());
+      if (!count(kIntMax, &args.budget)) return false;
     } else if (a == "--depth") {
-      std::string v;
-      if (!next(v)) return false;
-      args.depth = std::atoi(v.c_str());
+      if (!count(kIntMax, &args.depth)) return false;
     } else if (a == "--dfs-bound") {
-      std::string v;
-      if (!next(v)) return false;
-      args.dfs_bound = std::atoi(v.c_str());
+      if (!count(kIntMax, &args.dfs_bound)) return false;
     } else if (a == "--seed") {
-      std::string v;
-      if (!next(v)) return false;
-      args.seed = static_cast<uint64_t>(std::strtoull(v.c_str(), nullptr, 0));
+      if (!count(kU64Max, &args.seed, /*prefixed=*/true)) return false;
     } else if (a == "--tier") {
-      std::string v;
-      if (!next(v)) return false;
-      args.tier = std::atoi(v.c_str());
+      if (!count(2, &args.tier)) return false;
     } else if (a == "--tier-threshold") {
-      std::string v;
-      if (!next(v)) return false;
-      args.tier_threshold =
-          static_cast<uint64_t>(std::strtoull(v.c_str(), nullptr, 0));
+      if (!count(kU64Max, &args.tier_threshold, /*prefixed=*/true)) {
+        return false;
+      }
     } else if (a == "--strategy") {
       if (!next(args.strategy)) return false;
     } else if (a == "--replay") {
@@ -322,9 +336,7 @@ bool ParseArgs(int argc, char** argv, Args& args) {
     } else if (a == "--perf-map") {
       if (!next(args.perf_map)) return false;
     } else if (a == "--top") {
-      std::string v;
-      if (!next(v)) return false;
-      args.top = std::atoi(v.c_str());
+      if (!count(kIntMax, &args.top)) return false;
     } else if (a == "--validate") {
       args.validate = true;
     } else if (!a.empty() && a[0] == '-') {

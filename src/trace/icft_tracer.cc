@@ -1,7 +1,6 @@
 #include "src/trace/icft_tracer.h"
 
-#include <chrono>
-
+#include "src/support/clock.h"
 #include "src/vm/external.h"
 
 namespace polynima::trace {
@@ -28,7 +27,7 @@ TraceResult TraceRun(const binary::Image& image,
                      const std::vector<std::vector<uint8_t>>& inputs,
                      vm::VmOptions options) {
   TraceResult result;
-  auto start = std::chrono::steady_clock::now();
+  uint64_t start = NowNs();
   vm::ExternalLibrary library;
   vm::Vm virtual_machine(image, &library, options);
   virtual_machine.SetInputs(inputs);
@@ -44,10 +43,7 @@ TraceResult TraceRun(const binary::Image& image,
     result.indirect_targets[e.from].insert(e.to);
   });
   result.runs.push_back(virtual_machine.Run());
-  result.host_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
+  result.host_ns = NowNs() - start;
   return result;
 }
 

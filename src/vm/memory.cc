@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/support/check.h"
+#include "src/support/hash.h"
 
 namespace polynima::vm {
 
@@ -171,18 +172,11 @@ uint64_t Memory::Digest() const {
     addrs.push_back(addr);
   }
   std::sort(addrs.begin(), addrs.end());
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (i * 8)) & 0xff)) * 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnvOffsetBasis;
   for (uint64_t addr : addrs) {
     const Page& page = *pages_.at(addr);
-    mix(addr);
-    for (uint8_t byte : page.data) {
-      h = (h ^ byte) * 1099511628211ull;
-    }
+    FnvMixU64(h, addr);
+    FnvMixBytes(h, page.data.data(), page.data.size());
   }
   return h;
 }

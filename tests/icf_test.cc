@@ -2,19 +2,27 @@
 // §4i): the icf pass proves masked const-table dispatch sites complete and
 // leaves mutable-slot sites open, the sealed CfgCert rejects forged and
 // stale copies (falling back to dynamic recovery), certified functions take
-// zero uncovered-edge deopts at every tier, and the sound build is
-// bit-identical to the unsound build (output, steps, state digest).
+// zero uncovered-edge deopts at every tier, the sound build is
+// bit-identical to the unsound build (output, steps, state digest), the
+// certified rebuild reuses every function without a proven site, and a
+// cert is consumed only under cfg_sound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/analyze/icf.h"
 #include "src/cc/compiler.h"
 #include "src/check/witness.h"
+#include "src/ir/printer.h"
+#include "src/ir/verifier.h"
 #include "src/obs/metrics.h"
 #include "src/obs/tierprof.h"
 #include "src/recomp/recompiler.h"
+#include "src/trace/icft_tracer.h"
 #include "src/vm/vm.h"
 #include "src/workloads/workloads.h"
 
@@ -355,6 +363,155 @@ TEST(IcfCoverage, CertifiedFunctionsTakeNoUncoveredEdgeDeopts) {
       }
     }
   }
+}
+
+// Routes every use of `v` through `add v, (lshr 2^40, 64)`. A shift by 64 or
+// more gives 0 in every executor, so the program still computes `v`; an
+// analysis that masks the shift count instead would see v + 2^40.
+void RouteThroughWideShift(ir::Module& m, ir::Instruction* v) {
+  std::vector<ir::Instruction*> users = v->users();
+  ir::BasicBlock* block = v->parent();
+  auto pos = block->insts().begin();
+  while (pos->get() != v) {
+    ++pos;
+  }
+  ++pos;
+  while (pos != block->insts().end() && (*pos)->op() == ir::Op::kPhi) {
+    ++pos;
+  }
+  auto shift = std::make_unique<ir::Instruction>(ir::Op::kLShr);
+  shift->AddOperand(m.GetConstant(int64_t{1} << 40));
+  shift->AddOperand(m.GetConstant(64));
+  ir::Instruction* zero = block->InsertBefore(pos, std::move(shift));
+  auto add = std::make_unique<ir::Instruction>(ir::Op::kAdd);
+  add->AddOperand(v);
+  add->AddOperand(zero);
+  ir::Instruction* routed = block->InsertBefore(pos, std::move(add));
+  for (ir::Instruction* user : users) {
+    for (int i = 0; i < user->num_operands(); ++i) {
+      if (user->operand(i) == v) {
+        user->SetOperand(i, routed);
+      }
+    }
+  }
+}
+
+// The icf pass folds IR binops with the executors' semantics: a target value
+// routed through `lshr x, 64` still proves exactly the table's targets, and
+// those include every target tier 0 and the tracer actually take.
+TEST(IcfAnalysis, WideShiftFoldsLikeTheExecutors) {
+  const workloads::Workload& w = Named("fnptr_dispatch");
+  recomp::RecompileOptions options;
+  options.recover.landing_pad_entries = true;
+  recomp::Recompiler recompiler(CompileWorkload(w, 2), options);
+  auto binary = recompiler.Recompile();
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  const binary::Image& image = recompiler.image();
+  analyze::IcfResult before =
+      analyze::AnalyzeIndirectControlFlow(binary->program, image, binary->graph);
+  ASSERT_EQ(before.sites_proven, 3);
+
+  ir::Module& module = *binary->program.module;
+  std::vector<ir::Instruction*> targets;
+  for (const auto& f : module.functions()) {
+    for (const auto& b : f->blocks()) {
+      for (const auto& inst : b->insts()) {
+        if (inst->op() == ir::Op::kCall && inst->intrinsic == "cfmiss" &&
+            inst->operand(0)->is_inst()) {
+          targets.push_back(static_cast<ir::Instruction*>(inst->operand(0)));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(targets.size(), 3u);
+  for (ir::Instruction* target : targets) {
+    RouteThroughWideShift(module, target);
+  }
+  ASSERT_TRUE(ir::Verify(module).ok());
+
+  analyze::IcfResult after =
+      analyze::AnalyzeIndirectControlFlow(binary->program, image, binary->graph);
+  EXPECT_EQ(after.sites_proven, 3);
+  ASSERT_EQ(after.sites.size(), before.sites.size());
+  for (size_t i = 0; i < after.sites.size(); ++i) {
+    EXPECT_TRUE(after.sites[i].proven) << after.sites[i].reason;
+    EXPECT_EQ(after.sites[i].targets, before.sites[i].targets);
+  }
+
+  std::vector<std::vector<uint8_t>> inputs = w.make_inputs(0);
+  int ref_exit = 0;
+  std::string reference = VmReference(image, inputs, &ref_exit);
+  exec::ExecResult run = binary->Run(inputs);
+  ASSERT_TRUE(run.ok) << run.fault_message;
+  EXPECT_EQ(run.output, reference);
+
+  trace::TraceResult traced = trace::TraceAll(image, {inputs});
+  int traced_sites = 0;
+  for (const analyze::IcfSite& site : after.sites) {
+    auto it = traced.indirect_targets.find(site.transfer_address);
+    if (it == traced.indirect_targets.end()) {
+      continue;
+    }
+    ++traced_sites;
+    for (uint64_t t : it->second) {
+      EXPECT_TRUE(std::binary_search(site.targets.begin(), site.targets.end(),
+                                     t))
+          << "traced target " << std::hex << t << " not proven";
+    }
+  }
+  EXPECT_EQ(traced_sites, 3);
+}
+
+// The certified rebuild re-lifts only the functions holding a proven site:
+// the other 8 of fnptr_dispatch's 11 functions key the same as in the probe
+// build and are cloned from the additive cache, and the result prints the
+// same IR as a build without the cache.
+TEST(CfgCert, CertifiedRebuildReusesFunctionsWithoutProvenSites) {
+  binary::Image image = CompileWorkload(Named("fnptr_dispatch"), 2);
+  recomp::RecompileOptions options;
+  options.cfg_sound = true;
+  recomp::Recompiler cached(image, options);
+  auto with_cache = cached.Recompile();
+  ASSERT_TRUE(with_cache.ok()) << with_cache.status().ToString();
+  EXPECT_EQ(cached.stats().cache_hits, 8u);
+  EXPECT_EQ(cached.stats().cache_misses, 14u);
+
+  options.incremental = false;
+  recomp::Recompiler uncached(std::move(image), options);
+  auto without_cache = uncached.Recompile();
+  ASSERT_TRUE(without_cache.ok()) << without_cache.status().ToString();
+  EXPECT_EQ(uncached.stats().cache_hits, 0u);
+  EXPECT_EQ(ir::Print(*with_cache->program.module),
+            ir::Print(*without_cache->program.module));
+}
+
+// Without cfg_sound no certificate is consumed: a narrowed, re-sealed cert
+// (which passes the seal and the image binding) changes nothing in the
+// build, so every indirect site keeps its cfmiss stub.
+TEST(CfgCert, CertWithoutCfgSoundIsIgnored) {
+  binary::Image image = CompileWorkload(Named("fnptr_dispatch"), 2);
+  recomp::RecompileOptions mint_options;
+  mint_options.cfg_sound = true;
+  recomp::Recompiler minter(image, mint_options);
+  ASSERT_TRUE(minter.Recompile().ok());
+  check::CfgCert narrowed = *minter.options().cfg_cert;
+  ASSERT_GT(narrowed.sites[0].targets.size(), 1u);
+  narrowed.sites[0].targets.pop_back();
+  narrowed.Seal();
+  ASSERT_TRUE(check::VerifyCfgCert(narrowed, image));
+
+  recomp::RecompileOptions plain_options;
+  recomp::Recompiler plain(image, plain_options);
+  auto plain_binary = plain.Recompile();
+  ASSERT_TRUE(plain_binary.ok()) << plain_binary.status().ToString();
+
+  recomp::RecompileOptions options;
+  options.cfg_cert = narrowed;
+  recomp::Recompiler recompiler(std::move(image), options);
+  auto binary = recompiler.Recompile();
+  ASSERT_TRUE(binary.ok()) << binary.status().ToString();
+  EXPECT_EQ(ir::Print(*binary->program.module),
+            ir::Print(*plain_binary->program.module));
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 // Unit tests for the IR core: use lists, replaceAllUsesWith, block/function
-// surgery, the verifier's error detection, and printing.
+// surgery, the verifier's error detection, printing, and the shared CFG and
+// folding facts of src/ir/analysis.h.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "src/ir/analysis.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
@@ -75,6 +81,71 @@ TEST(IrCore, GlobalsHaveStableSlots) {
   EXPECT_EQ(g->initial(), 7);
   EXPECT_EQ(m.GetGlobal("b"), g);
   EXPECT_EQ(m.GetGlobal("missing"), nullptr);
+}
+
+TEST(IrAnalysis, DominatorTreeAndNaturalLoops) {
+  // entry -> head; head -> body | exit; body -> head (back edge);
+  // dead -> body (unreachable).
+  Module m;
+  Function* f = m.AddFunction("loop", 0, true);
+  BasicBlock* entry = f->AddBlock("entry");
+  BasicBlock* head = f->AddBlock("head");
+  BasicBlock* body = f->AddBlock("body");
+  BasicBlock* exit_block = f->AddBlock("exit");
+  BasicBlock* dead = f->AddBlock("dead");
+  IRBuilder b(&m);
+  b.SetInsertBlock(entry);
+  b.Br(head);
+  b.SetInsertBlock(head);
+  b.CondBr(b.Const(1), body, exit_block);
+  b.SetInsertBlock(body);
+  b.Br(head);
+  b.SetInsertBlock(exit_block);
+  b.Ret(b.Const(0));
+  b.SetInsertBlock(dead);
+  b.Br(body);
+
+  EXPECT_EQ(ReversePostOrder(*f),
+            (std::vector<BasicBlock*>{entry, head, exit_block, body}));
+  auto preds = Predecessors(*f);
+  EXPECT_EQ(preds[body], (std::vector<BasicBlock*>{head, dead}));
+  EXPECT_TRUE(preds[entry].empty());
+
+  DominatorTree dom(*f);
+  EXPECT_TRUE(dom.Reachable(body));
+  EXPECT_FALSE(dom.Reachable(dead));
+  EXPECT_TRUE(dom.Dominates(entry, exit_block));
+  EXPECT_TRUE(dom.Dominates(head, body));
+  EXPECT_TRUE(dom.Dominates(body, body));
+  EXPECT_FALSE(dom.Dominates(body, exit_block));
+  EXPECT_FALSE(dom.Dominates(exit_block, head));
+  EXPECT_FALSE(dom.Dominates(dead, body));
+  EXPECT_FALSE(dom.Dominates(entry, dead));
+
+  // The body walk follows every predecessor, the unreachable one included.
+  std::vector<NaturalLoop> loops = FindNaturalLoops(*f);
+  ASSERT_EQ(loops.size(), 1u);
+  EXPECT_EQ(loops[0].header, head);
+  EXPECT_EQ(loops[0].body, (std::set<BasicBlock*>{head, body, dead}));
+}
+
+TEST(IrAnalysis, FoldBinaryMatchesExecutorSemantics) {
+  int64_t r = -1;
+  EXPECT_TRUE(FoldBinary(Op::kLShr, 8, 64, &r));
+  EXPECT_EQ(r, 0);
+  EXPECT_TRUE(FoldBinary(Op::kShl, 8, 65, &r));
+  EXPECT_EQ(r, 0);
+  EXPECT_TRUE(FoldBinary(Op::kAShr, -8, 64, &r));
+  EXPECT_EQ(r, -1);
+  EXPECT_TRUE(FoldBinary(Op::kLShr, 8, 3, &r));
+  EXPECT_EQ(r, 1);
+  EXPECT_TRUE(FoldBinary(Op::kAdd, INT64_MAX, 1, &r));
+  EXPECT_EQ(r, INT64_MIN);
+  EXPECT_FALSE(FoldBinary(Op::kURem, 5, 0, &r));
+  EXPECT_FALSE(FoldBinary(Op::kSDiv, INT64_MIN, -1, &r));
+  EXPECT_FALSE(FoldBinary(Op::kICmp, 1, 2, &r));
+  EXPECT_TRUE(IsCalleeSavedGpr("vr_rbx"));
+  EXPECT_FALSE(IsCalleeSavedGpr("vr_rax"));
 }
 
 TEST(IrVerifier, AcceptsWellFormedFunction) {

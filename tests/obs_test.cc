@@ -8,6 +8,8 @@
 
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/cc/compiler.h"
 #include "src/obs/metrics.h"
@@ -444,6 +446,49 @@ TEST(IcfReportCrossCheck, CertifiedDeoptCounterMustBeZero) {
   ASSERT_FALSE(dirty_valid.ok());
   EXPECT_NE(dirty_valid.ToString().find("deopt_uncovered_certified"),
             std::string::npos);
+}
+
+// Concurrent writers share one counter array and one set of histograms:
+// once they join, every total, count and extreme is exact. A thread that
+// alternates between two registries keeps their counts apart.
+TEST(MetricsUnit, ConcurrentWritersGiveExactTotals) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 5000;
+  MetricsRegistry metrics;
+  MetricsRegistry other;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (uint64_t i = 1; i <= kPerThread; ++i) {
+        metrics.Add(Counter::kLiftFunctionsLifted);
+        other.Add(Counter::kLiftFunctionsLifted, 2);
+        metrics.Add(Counter::kLiftBytesDecoded, 3);
+        metrics.Observe(Histogram::kOptFunctionNs, t * kPerThread + i);
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  const uint64_t n = kThreads * kPerThread;
+  EXPECT_EQ(metrics.CounterValue(Counter::kLiftFunctionsLifted), n);
+  EXPECT_EQ(other.CounterValue(Counter::kLiftFunctionsLifted), 2 * n);
+  EXPECT_EQ(metrics.CounterValue(Counter::kLiftBytesDecoded), 3 * n);
+
+  json::Value doc = metrics.ToJson();
+  const json::Value* hist =
+      doc.Find("histograms")->Find(HistogramName(Histogram::kOptFunctionNs));
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->Find("count")->as_uint(), n);
+  EXPECT_EQ(hist->Find("min")->as_uint(), 1u);
+  EXPECT_EQ(hist->Find("max")->as_uint(), n);
+  EXPECT_EQ(hist->Find("sum")->as_uint(), n * (n + 1) / 2);
+  uint64_t bucketed = 0;
+  for (const json::Value& b : hist->Find("buckets")->as_array()) {
+    bucketed += b.as_uint();
+  }
+  EXPECT_EQ(bucketed, n);
+  EXPECT_EQ(other.ToJson().Find("histograms")->as_object().size(), 0u);
 }
 
 TEST(ObsDisabled, NullSessionIsInert) {
